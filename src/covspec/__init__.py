@@ -21,6 +21,7 @@ from .graphs import (
     surface_genus,
 )
 from .groups import (
+    CapExceededError,
     FanoActions,
     FiniteGroup,
     GF2Matrix,
@@ -43,9 +44,9 @@ from .metric import (
     MetricGraph,
     enumerate_classes,
     format_rational,
+    iter_classes,
     loop_to_free_word,
     marked_length,
-    metric_graph,
     parse_loop,
     parse_rational,
     render_loop,

@@ -4,9 +4,15 @@ Subcommands: covspec, fano, triple, torus, repro, export-dot.
 All reports are printed as deterministic JSON (sorted keys), so identical
 inputs produce byte-identical output.
 
-Exit codes: 0 pass, 1 assertion failure, 2 undecided oracle or exhausted
-budget, 3 input error.  COVSPEC_BUDGET overrides the initial enumeration
-budget (a rational like 7 or 15/2) when no --budget flag is given.
+Exit codes: 0 pass, 1 assertion failure, 2 undecided oracle, exhausted
+budget or exceeded cap, 3 input error.
+
+Graph spectra walk marked lengths in increasing order and stop once the
+normal closure of the classes walked is the whole fundamental group.
+--budget, or COVSPEC_BUDGET (a rational like 7 or 15/2) when no flag is
+given, sets an inclusive ceiling on the lengths walked; a run that
+reaches the ceiling before that point exits with code 2.  The default
+ceiling is the longest generator loop, which always suffices.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .graphs import (
     surface_genus,
 )
 from .groups import (
+    CapExceededError,
     closure,
     fano_actions,
     is_gassmann_sunada,
@@ -96,7 +103,7 @@ def _spectrum_payload(spectrum, report, explain: bool) -> dict:
 def cmd_covspec(args) -> int:
     X = _load_metric_graph(args.input)
     budget = parse_rational(args.budget) if args.budget else _env_budget()
-    spectrum, report = covering_spectrum(X, initial_budget=budget)
+    spectrum, report = covering_spectrum(X, budget=budget)
     _emit(_spectrum_payload(spectrum, report, args.explain))
     return EXIT_OK
 
@@ -126,8 +133,8 @@ def run_fano(la: Fraction, lb: Fraction, explain: bool = False) -> dict:
         constraint_ok = True
     _, X1, X2 = _fano_metric_graphs(la, lb)
     budget = _env_budget()
-    s1, r1 = covering_spectrum(X1, initial_budget=budget)
-    s2, r2 = covering_spectrum(X2, initial_budget=budget)
+    s1, r1 = covering_spectrum(X1, budget=budget)
+    s2, r2 = covering_spectrum(X2, budget=budget)
     doc = {
         "la": format_rational(la),
         "lb": format_rational(lb),
@@ -287,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("covspec", help="covering spectrum of a metric graph JSON file")
     p.add_argument("--input", required=True, help="graph JSON with a lengths field")
-    p.add_argument("--budget", help="initial enumeration budget as p/q")
+    p.add_argument("--budget", help="inclusive ceiling on the marked lengths walked, as p/q")
     p.add_argument("--explain", action="store_true", help="embed certificates")
     p.set_defaults(func=cmd_covspec)
 
@@ -326,7 +333,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UndecidedOracleError, BudgetExhaustedError) as exc:
+    except (UndecidedOracleError, BudgetExhaustedError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except ValueError as exc:

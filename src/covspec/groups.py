@@ -20,6 +20,10 @@ DEFAULT_ORDER_CAP = 10**6
 DEFAULT_CLASS_CAP = 20
 
 
+class CapExceededError(RuntimeError):
+    """A search grew past its configured size cap before finishing."""
+
+
 class Permutation:
     """A permutation of {0, ..., degree-1} stored as its image tuple."""
 
@@ -224,7 +228,7 @@ def closure(generators: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> 
                     elements.append(h)
                     nxt.append(h)
                     if len(elements) > cap:
-                        raise RuntimeError(f"group order exceeds cap {cap}")
+                        raise CapExceededError(f"group order exceeds cap {cap}")
         frontier = nxt
     return FiniteGroup(generators, elements)
 
@@ -276,7 +280,8 @@ def is_gassmann_sunada(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> GassmannRe
             verdict = False
     if verdict:
         # equal class counts force equal orders; fail loudly if they do not
-        assert H1.order == H2.order
+        if H1.order != H2.order:
+            raise AssertionError("equal class counts but different subgroup orders")
     return GassmannReport(verdict, tuple(rows))
 
 
@@ -307,7 +312,7 @@ def is_jump_equivalent(
     _check_subgroups(G, H1, H2)
     classes = G.conjugacy_classes()
     if len(classes) > class_cap:
-        raise RuntimeError(f"{len(classes)} conjugacy classes exceeds cap {class_cap}")
+        raise CapExceededError(f"{len(classes)} conjugacy classes exceeds cap {class_cap}")
     n = len(classes)
     patterns: list[tuple[frozenset[int], frozenset[int]]] = []
     for mask in range(1 << n):
@@ -462,7 +467,8 @@ def _matrix_line_perm(M: GF2Matrix) -> Permutation:
     for w in _VECTORS:
         img = frozenset(M.apply_row(v) for v in points_of[w])
         matches = [u for u in _VECTORS if points_of[u] == img]
-        assert len(matches) == 1, "image point set is not a line"
+        if len(matches) != 1:
+            raise AssertionError("image point set is not a line")
         images.append(_VEC_INDEX[matches[0]])
     return Permutation(images)
 

@@ -42,8 +42,8 @@ class IntLattice:
         other.rows = {p: row[:] for p, row in self.rows.items()}
         return other
 
-    def add(self, vec: Sequence[int]) -> bool:
-        """Insert a vector. Returns True if the lattice grew."""
+    def add(self, vec: Sequence[int]) -> None:
+        """Insert a vector."""
         if len(vec) != self.n:
             raise ValueError("vector length does not match ambient dimension")
         v = [int(x) for x in vec]
@@ -55,7 +55,7 @@ class IntLattice:
                 if v[j] < 0:
                     v = [-t for t in v]
                 self.rows[j] = v
-                return True
+                return
             a, b = row[j], v[j]
             if b % a == 0:
                 q = b // a
@@ -67,7 +67,6 @@ class IntLattice:
                 new_v = [(a // g) * v[k] - (b // g) * row[k] for k in range(self.n)]
                 self.rows[j] = new_row
                 v = new_v
-        return False
 
     def contains(self, vec: Sequence[int]) -> bool:
         if len(vec) != self.n:

@@ -12,12 +12,16 @@ darts: dart 2*e traverses edge e forward, dart 2*e+1 backward.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import takewhile
+from typing import Iterator, Sequence
 
 from .graphs import ColoredGraph
+from .groups import CapExceededError
+from .words import cyclic_reduce, least_rotation
 
 DEFAULT_CLASS_CAP = 200_000
 
@@ -74,7 +78,7 @@ class CyclicWord:
         for i, d in enumerate(darts):
             if darts[(i + 1) % len(darts)] == dart_reverse(d):
                 raise ValueError("word is not cyclically reduced")
-        self.darts = _least_rotation(darts)
+        self.darts = least_rotation(darts, tuple(dart_reverse(d) for d in reversed(darts)))
 
     @classmethod
     def from_path(cls, path: Sequence[int]) -> "CyclicWord":
@@ -106,13 +110,6 @@ class CyclicWord:
 
     def __repr__(self) -> str:
         return f"CyclicWord({list(self.darts)})"
-
-
-def _least_rotation(darts: tuple[int, ...]) -> tuple[int, ...]:
-    inv = tuple(dart_reverse(d) for d in reversed(darts))
-    candidates = [darts[i:] + darts[:i] for i in range(len(darts))]
-    candidates += [inv[i:] + inv[:i] for i in range(len(inv))]
-    return min(candidates)
 
 
 @dataclass(frozen=True, order=True)
@@ -177,7 +174,8 @@ class MetricGraph:
                         tree.add(eid)
                         nxt.append(w)
             frontier = nxt
-        assert len(parent) == n
+        if len(parent) != n:
+            raise AssertionError("spanning tree does not reach every vertex")
         self.spanning_tree = frozenset(tree)
         self._parent = parent
         self.free_generators = [e.id for e in graph.edges if e.id not in tree]
@@ -241,14 +239,6 @@ class MetricGraph:
         return sum((self.dart_length(d) for d in word.darts), Fraction(0))
 
 
-def metric_graph(
-    graph: ColoredGraph,
-    lengths: dict[str, Fraction] | Sequence[Fraction],
-    root: int = 0,
-) -> MetricGraph:
-    return MetricGraph(graph, lengths, root=root)
-
-
 def check_closed_loop(X: MetricGraph, darts: Sequence[int]) -> None:
     """Raise unless consecutive darts chain and the path closes up."""
     for i, d in enumerate(darts):
@@ -263,6 +253,35 @@ def marked_length(X: MetricGraph, word: CyclicWord) -> Fraction:
     return X.word_length(word)
 
 
+def iter_classes(X: MetricGraph, cap: int = DEFAULT_CLASS_CAP) -> Iterator[MarkedClass]:
+    """Every free homotopy class exactly once, by (length, canonical word).
+
+    Best-first search over non-backtracking dart walks, kept in a heap
+    ordered by (length, darts).  A class's canonical word starts with the
+    forward dart 2e of its least edge e and uses no edge below e, so walks
+    start only at forward darts and never step to a smaller edge; a closed
+    walk is yielded only when it is its own canonical word.  Raises
+    CapExceededError on the class after the first ``cap``.
+    """
+    heap = [(X.dart_length(2 * e), (2 * e,)) for e in range(X.graph.edge_count)]
+    heapq.heapify(heap)
+    yielded = 0
+    while heap:
+        length, path = heapq.heappop(heap)
+        first, last = path[0], path[-1]
+        v = X.dart_target(last)
+        if v == X.dart_origin(first) and first != dart_reverse(last):
+            word = CyclicWord(path)
+            if word.darts == path:
+                yielded += 1
+                if yielded > cap:
+                    raise CapExceededError(f"class count exceeds cap {cap}")
+                yield MarkedClass(length, word)
+        for d in X.out_darts(v):
+            if d >= first and d != dart_reverse(last):
+                heapq.heappush(heap, (length + X.dart_length(d), path + (d,)))
+
+
 def enumerate_classes(
     X: MetricGraph,
     budget: Fraction,
@@ -271,40 +290,15 @@ def enumerate_classes(
 ) -> list[MarkedClass]:
     """All free homotopy classes with marked length below the budget.
 
-    Depth-first search over darts from every root vertex, no immediate
-    backtracking, pruned by remaining length; loops are deduplicated by
-    canonical cyclic form, which also merges a class with its inverse.
-    Sorted by (length, canonical word).
+    With strict=False the budget itself is included.  Sorted by (length,
+    canonical word).  The cap counts the first class past the budget too.
     """
     budget = Fraction(budget)
     if budget <= 0:
         raise ValueError("budget must be positive")
-    found: dict[CyclicWord, Fraction] = {}
-
-    def within(total: Fraction) -> bool:
-        return total < budget if strict else total <= budget
-
-    for v0 in range(X.graph.vertex_count):
-        work = [((d,), X.dart_length(d)) for d in X.out_darts(v0) if within(X.dart_length(d))]
-        while work:
-            path, length = work.pop()
-            last = path[-1]
-            v = X.dart_target(last)
-            if v == v0 and path[0] != dart_reverse(last):
-                word = CyclicWord(path)
-                if word not in found:
-                    found[word] = length
-                    if len(found) > cap:
-                        raise RuntimeError(f"class count exceeds cap {cap}")
-            for d in X.out_darts(v):
-                if d == dart_reverse(last):
-                    continue
-                total = length + X.dart_length(d)
-                if within(total):
-                    work.append((path + (d,), total))
-    classes = [MarkedClass(length, word) for word, length in found.items()]
-    classes.sort()
-    return classes
+    if strict:
+        return list(takewhile(lambda c: c.length < budget, iter_classes(X, cap)))
+    return list(takewhile(lambda c: c.length <= budget, iter_classes(X, cap)))
 
 
 def loop_to_free_word(X: MetricGraph, path: Sequence[int] | CyclicWord) -> tuple[int, ...]:
@@ -326,8 +320,6 @@ def loop_to_free_word(X: MetricGraph, path: Sequence[int] | CyclicWord) -> tuple
         g = X._gen_index.get(e)
         if g is not None:
             word.append(g + 1 if d % 2 == 0 else -(g + 1))
-    from .words import cyclic_reduce  # deferred: words type-checks against this module
-
     return cyclic_reduce(tuple(word))
 
 

@@ -53,15 +53,17 @@ def word_inverse(word: Sequence[int]) -> FreeWord:
     return tuple(-x for x in reversed(word))
 
 
+def least_rotation(word: tuple, inverse: tuple) -> tuple:
+    """Lexicographically least rotation of a cyclic word or of its inverse."""
+    return min(w[i:] + w[:i] for w in (word, inverse) for i in range(len(w)))
+
+
 def canonical_cyclic_word(word: Sequence[int]) -> FreeWord:
     """Least rotation over the cyclic reduction and its inverse."""
     w = cyclic_reduce(word)
     if not w:
         return w
-    inv = word_inverse(w)
-    rots = [w[i:] + w[:i] for i in range(len(w))]
-    rots += [inv[i:] + inv[:i] for i in range(len(inv))]
-    return min(rots)
+    return least_rotation(w, word_inverse(w))
 
 
 @dataclass
@@ -208,9 +210,9 @@ def syntactic_member(
 
 
 def _syntactic_cert(relators, target, expr) -> MembershipCertificate:
-    cert = MembershipCertificate(MEMBER, "syntactic", {"expression": expr})
-    assert _check_expression(relators, target, expr), "witness does not multiply out"
-    return cert
+    if not _check_expression(relators, target, expr):
+        raise AssertionError("witness does not multiply out")
+    return MembershipCertificate(MEMBER, "syntactic", {"expression": expr})
 
 
 def _check_expression(relators, target, expr) -> bool:

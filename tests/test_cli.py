@@ -70,8 +70,12 @@ class TestCovspecCommand:
         assert code == 3
 
     def test_env_budget(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("COVSPEC_BUDGET", "1/2")
+        # the wedge saturates at 3: a ceiling below it is exhausted
         path = wedge_json(tmp_path)
+        monkeypatch.setenv("COVSPEC_BUDGET", "5/2")
+        code, out, err = run_cli(capsys, "covspec", "--input", str(path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+        monkeypatch.setenv("COVSPEC_BUDGET", "3")
         code, out, _ = run_cli(capsys, "covspec", "--input", str(path))
         assert code == 0
         assert json.loads(out)["covspec"] == ["1/1", "3/2"]
@@ -158,6 +162,22 @@ class TestTripleCommand:
         assert doc["gassmann_sunada"] is False
         assert doc["jump_equivalent"] is False
         assert doc["jump_witness"] is not None
+
+    def test_class_cap_maps_to_exit_2(self, tmp_path, capsys):
+        # a cyclic group of order 21 has 21 conjugacy classes, over the cap
+        cycle = " ".join(str((v + 1) % 21) for v in range(21))
+        (tmp_path / "c21.txt").write_text(cycle + "\n")
+        (tmp_path / "id.txt").write_text(" ".join(map(str, range(21))) + "\n")
+        code, out, err = run_cli(
+            capsys,
+            "triple",
+            "--group", str(tmp_path / "c21.txt"),
+            "--h1", str(tmp_path / "id.txt"),
+            "--h2", str(tmp_path / "id.txt"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceeds cap" in err
 
     def test_file_group_needs_subgroups(self, tmp_path, capsys):
         (tmp_path / "g.txt").write_text("1 0 2\n")

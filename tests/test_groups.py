@@ -5,6 +5,7 @@ import random
 import pytest
 
 from covspec import (
+    CapExceededError,
     GF2Matrix,
     Permutation,
     closure,
@@ -60,7 +61,7 @@ class TestClosure:
             closure([Permutation([1, 0]), Permutation([1, 2, 0])])
 
     def test_cap(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(CapExceededError):
             closure([Permutation([1, 2, 0])], cap=2)
 
     def test_fano_point_group(self, fano):
@@ -258,7 +259,7 @@ class TestJumpEquivalence:
         assert eq1 != eq2
 
     def test_class_cap(self, fano):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(CapExceededError):
             is_jump_equivalent(
                 fano.group, fano.point_stabilizer(), fano.line_stabilizer(), class_cap=3
             )

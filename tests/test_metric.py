@@ -3,12 +3,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from covspec import (
+    CapExceededError,
     ColoredGraph,
     CyclicWord,
     Edge,
     MetricGraph,
+    Permutation,
+    cayley_graph,
     enumerate_classes,
     format_rational,
     loop_to_free_word,
@@ -72,10 +77,8 @@ class TestMetricGraph:
         assert X.rank == 169
 
     def test_deterministic_tree(self, fano_graphs):
-        from covspec import metric_graph
-
         g1, _ = fano_graphs
-        a = metric_graph(g1, {"A": LA, "B": LB})
+        a = MetricGraph(g1, {"A": LA, "B": LB})
         b = MetricGraph(g1, {"A": LA, "B": LB})
         assert a.spanning_tree == b.spanning_tree
         assert a.free_generators == b.free_generators
@@ -217,12 +220,31 @@ class TestEnumeration:
         assert la == lb
 
     def test_class_cap(self, x1):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(CapExceededError):
             enumerate_classes(x1, CUTOFF, cap=3)
 
     def test_bad_budget(self, wedge23):
         with pytest.raises(ValueError):
             enumerate_classes(wedge23, Fraction(0))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(
+        perms=st.integers(1, 6).flatmap(
+            lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+        ),
+        lengths=st.tuples(*[st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)])] * 2),
+        budget=st.sampled_from([Fraction(2), Fraction(3), Fraction(7, 2), Fraction(4)]),
+    )
+    def test_random_schreier_graphs_against_walk_oracle(self, perms, lengths, budget):
+        graph = cayley_graph([("A", Permutation(perms[0])), ("B", Permutation(perms[1]))])
+        assume(graph.is_connected())
+        X = MetricGraph(graph, dict(zip("AB", lengths)))
+        for strict in (True, False):
+            classes = enumerate_classes(X, budget, strict=strict)
+            assert classes == sorted(classes)
+            got = {c.word: c.length for c in classes}
+            assert len(got) == len(classes)
+            assert got == classes_by_walks(X, budget, strict=strict)
 
 
 class TestFreeWordRewriting:

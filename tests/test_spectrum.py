@@ -30,12 +30,16 @@ X2_SPECTRUM = [Fraction(1), Fraction(5, 4), Fraction(2), Fraction(9, 4),
 class _LatticeOracle:
     def __init__(self, n):
         self.lat = IntLattice(n)
+        self.units = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def contains(self, v):
         return self.lat.contains(v)
 
     def add(self, v):
         self.lat.add(v)
+
+    def saturated(self):
+        return self.lat.contains_all(self.units)
 
 
 class TestJumpSet:
@@ -65,6 +69,23 @@ class TestJumpSet:
         items = [(Fraction(1), [1]), (Fraction(1), [-1]), (Fraction(4), [2])]
         jumps, _, _ = jump_set(items, _LatticeOracle(1))
         assert jumps == [Fraction(1)]
+
+    def test_stops_at_saturation(self):
+        # an endless stream: the walk must stop at the first saturated level
+        def endless():
+            k = 2
+            while True:
+                yield Fraction(k), [k]
+                k += 1
+
+        jumps, wits, last = jump_set(endless(), _LatticeOracle(1))
+        assert jumps == [Fraction(2), Fraction(3)] and wits == [[2], [3]]
+        assert last == Fraction(3)
+
+    def test_unsorted_items_rejected(self):
+        items = [(Fraction(4), [4]), (Fraction(2), [2])]
+        with pytest.raises(ValueError):
+            jump_set(items, _LatticeOracle(1))
 
 
 class TestGraphSpectra:
@@ -140,14 +161,31 @@ class TestGraphSpectra:
         assert spectrum.values == ()
         assert report.termination == {"mode": "simply_connected"}
 
-    def test_budget_growth_path(self, wedge23):
-        spectrum, report = covering_spectrum(wedge23, initial_budget=Fraction(1))
+    def test_budget_at_saturation_level(self, wedge23):
+        # the wedge saturates at 3, where both generators are relators
+        spectrum, report = covering_spectrum(wedge23, budget=Fraction(3))
         assert list(spectrum.values) == [Fraction(1), Fraction(3, 2)]
-        assert len(report.budget_history) > 1
+        assert report.processed_to == Fraction(3)
 
     def test_budget_exhaustion(self, wedge23):
         with pytest.raises(BudgetExhaustedError):
-            covering_spectrum(wedge23, max_rounds=0)
+            covering_spectrum(wedge23, budget=Fraction(5, 2))
+
+    def test_stops_at_saturation_below_a_high_budget(self, fano_run, fano_graphs):
+        _, s1, r1, _, _, _ = fano_run(LA, LB)
+        X1 = MetricGraph(fano_graphs[0], {"A": LA, "B": LB})
+        spectrum, report = covering_spectrum(X1, budget=Fraction(40))
+        assert spectrum == s1 and report.processed_to == r1.processed_to
+        assert report.processed_to < Fraction(40)
+
+    def test_jump_records_follow_witness_queries(self, fano_run):
+        X1, _, r1, _, _, _ = fano_run(LA, LB)
+        for j in r1.jumps:
+            q = next(q for q in r1.queries if q.target_loop == j.witness)
+            assert q.certificate.verdict == "non_member"
+            assert (q.length, q.target_name, q.certificate) == (
+                j.value, j.witness_name, j.certificate
+            )
 
     def test_undecided_oracle_aborts(self, wedge23, monkeypatch):
         from covspec import spectrum as spectrum_mod

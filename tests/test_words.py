@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -287,3 +291,37 @@ class TestOracleProperties:
             )
             cert = decide_membership(rels, target, rank=2, budgets=Budgets(coset_cap=2000))
             assert verify_certificate(cert, rels, target, 2)
+
+
+_OPTIMIZED_CHECKS = """
+import sys
+from fractions import Fraction
+from covspec import ColoredGraph, Edge, MetricGraph, covering_spectrum
+from covspec.words import _syntactic_cert
+
+assert sys.flags.optimize, "not running under -O"
+try:
+    _syntactic_cert([(1,)], (2,), [[[], 0, 1]])
+except AssertionError:
+    pass
+else:
+    sys.exit("a bogus syntactic witness was certified")
+graph = ColoredGraph(["v"], [Edge(0, 0, 0, "A"), Edge(1, 0, 0, "B")], ["A", "B"])
+X = MetricGraph(graph, {"A": Fraction(2), "B": Fraction(3)})
+_, report = covering_spectrum(X)
+if not report.verify_all_certificates(X):
+    sys.exit("certificate replay failed")
+"""
+
+
+def test_soundness_checks_survive_optimize():
+    # python -O strips assert statements; the checks must still raise
+    import covspec
+
+    src = str(Path(covspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
