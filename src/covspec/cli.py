@@ -12,7 +12,8 @@ normal closure of the classes walked is the whole fundamental group.
 --budget, or COVSPEC_BUDGET (a rational like 7 or 15/2) when no flag is
 given, sets an inclusive ceiling on the lengths walked; a run that
 reaches the ceiling before that point exits with code 2.  The default
-ceiling is the longest generator loop, which always suffices.
+ceiling, the largest marked length of a free generator's class, always
+suffices.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def cmd_covspec(args) -> int:
     return EXIT_OK
 
 
-def _fano_metric_graphs(la: Fraction, lb: Fraction, root: int = 0):
+def _fano_metric_graphs(la: Fraction, lb: Fraction):
     acts = fano_actions()
     g1 = cayley_graph(
         [(n, acts.point_perms[n]) for n in acts.generator_names], list(acts.labels)
@@ -117,7 +118,7 @@ def _fano_metric_graphs(la: Fraction, lb: Fraction, root: int = 0):
         [(n, acts.line_perms[n]) for n in acts.generator_names], list(acts.labels)
     )
     lengths = {"A": la, "B": lb}
-    return acts, MetricGraph(g1, lengths, root=root), MetricGraph(g2, lengths, root=root)
+    return MetricGraph(g1, lengths), MetricGraph(g2, lengths)
 
 
 def run_fano(la: Fraction, lb: Fraction, explain: bool = False) -> dict:
@@ -131,7 +132,7 @@ def run_fano(la: Fraction, lb: Fraction, explain: bool = False) -> dict:
         constraint_ok = False
     else:
         constraint_ok = True
-    _, X1, X2 = _fano_metric_graphs(la, lb)
+    X1, X2 = _fano_metric_graphs(la, lb)
     budget = _env_budget()
     s1, r1 = covering_spectrum(X1, budget=budget)
     s2, r2 = covering_spectrum(X2, budget=budget)

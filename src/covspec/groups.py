@@ -73,23 +73,6 @@ class Permutation:
             n += 1
         return n
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each rotated to start at its minimum, sorted."""
-        seen = set()
-        out = []
-        for i in range(self.degree):
-            if i in seen or self.images[i] == i:
-                continue
-            cyc = [i]
-            seen.add(i)
-            j = self.images[i]
-            while j != i:
-                cyc.append(j)
-                seen.add(j)
-                j = self.images[j]
-            out.append(tuple(cyc))
-        return sorted(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -316,38 +299,25 @@ def is_jump_equivalent(
     n = len(classes)
     patterns: list[tuple[frozenset[int], frozenset[int]]] = []
     for mask in range(1 << n):
-        chosen = [k for k in range(n) if mask >> k & 1]
-        stable = set()
-        for k in chosen:
-            stable.update(classes[k])
-        pats = []
-        for H in (H1, H2):
-            gens = [G.elements[i] for i in (H.members & stable)]
-            pats.append(subgroup_generated(G, gens).members)
-        patterns.append((frozenset(pats[0]), frozenset(pats[1])))
-    by_h1: dict[frozenset[int], int] = {}
-    by_h2: dict[frozenset[int], int] = {}
-    block1 = []
-    block2 = []
-    for p1, p2 in patterns:
-        block1.append(by_h1.setdefault(p1, len(by_h1)))
-        block2.append(by_h2.setdefault(p2, len(by_h2)))
-    if block1 == _relabel(block2):
+        stable = {i for k in range(n) if mask >> k & 1 for i in classes[k]}
+        p1, p2 = (
+            subgroup_generated(G, [G.elements[i] for i in H.members & stable]).members
+            for H in (H1, H2)
+        )
+        patterns.append((p1, p2))
+    # the partitions coincide iff pairing their blocks is a bijection
+    h1_blocks = {p1 for p1, _ in patterns}
+    h2_blocks = {p2 for _, p2 in patterns}
+    if len(set(patterns)) == len(h1_blocks) == len(h2_blocks):
         return JumpEquivalenceReport(True, None, 1 << n)
     # locate a witness pair of masks
     for i in range(1 << n):
         for j in range(i + 1, 1 << n):
-            if (block1[i] == block1[j]) != (block2[i] == block2[j]):
+            if (patterns[i][0] == patterns[j][0]) != (patterns[i][1] == patterns[j][1]):
                 s = tuple(k for k in range(n) if i >> k & 1)
                 t = tuple(k for k in range(n) if j >> k & 1)
                 return JumpEquivalenceReport(False, (s, t), 1 << n)
     raise AssertionError("partition mismatch without witness")
-
-
-def _relabel(blocks: list[int]) -> list[int]:
-    # normalize block ids to first-appearance order so partitions compare
-    seen: dict[int, int] = {}
-    return [seen.setdefault(b, len(seen)) for b in blocks]
 
 
 def _check_subgroups(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> None:
@@ -428,15 +398,14 @@ class FanoActions:
     Vertex labels are the 3-bit strings of the nonzero vectors; a line is
     labeled by the unique nonzero vector orthogonal to all of its points.
     ``line_action_of[i]`` is the line permutation of the group element with
-    index i, aligned with ``group.elements`` through the simultaneous
-    closure of the (point, line) generator pairs.
+    index i, aligned with ``group.elements`` through one closure of the
+    point and line actions side by side.
     """
 
     group: FiniteGroup
     labels: tuple[str, ...]
     point_perms: dict[str, Permutation]
     line_perms: dict[str, Permutation]
-    matrices: dict[str, GF2Matrix]
     generator_names: tuple[str, ...]
     line_action_of: tuple[Permutation, ...]
 
@@ -478,8 +447,11 @@ def fano_actions() -> FanoActions:
 
     The line action is derived from the point action through the
     orthogonality labeling rather than hard-coded, and is checked against
-    the stored golden adjacency.  The point action is faithful, so closing
-    (point, line) pairs keeps both actions aligned element by element.
+    the stored golden adjacency.  ``closure`` runs on the 14-point action
+    (points 0-6, then lines shifted to 7-13); its elements split into a
+    point and a line permutation, so both actions stay aligned element by
+    element.  The point action is faithful, so distinct elements keep
+    distinct point permutations.
     """
     from . import fano_data
 
@@ -492,30 +464,17 @@ def fano_actions() -> FanoActions:
         if derived != golden:
             raise AssertionError(f"derived line action of {name} deviates from the golden table")
 
-    gen_pairs = [(point["A"], line["A"]), (point["B"], line["B"])]
-    ident = Permutation.identity(7)
-    pairs = [(ident, ident)]
-    seen = {(ident, ident)}
-    frontier = [(ident, ident)]
-    while frontier:
-        nxt = []
-        for p, l in frontier:
-            for ps, ls in gen_pairs:
-                h = (p * ps, l * ls)
-                if h not in seen:
-                    seen.add(h)
-                    pairs.append(h)
-                    nxt.append(h)
-        frontier = nxt
-    G = FiniteGroup([point["A"], point["B"]], [p for p, _ in pairs])
+    both = closure(
+        [Permutation(point[n].images + tuple(7 + j for j in line[n].images)) for n in mats]
+    )
+    images = [g.images for g in both.elements]
     return FanoActions(
-        group=G,
+        group=FiniteGroup([point["A"], point["B"]], [Permutation(g[:7]) for g in images]),
         labels=FANO_LABELS,
         point_perms=point,
         line_perms=line,
-        matrices=mats,
         generator_names=("A", "B"),
-        line_action_of=tuple(l for _, l in pairs),
+        line_action_of=tuple(Permutation([j - 7 for j in g[7:]]) for g in images),
     )
 
 

@@ -37,11 +37,6 @@ class IntLattice:
         self.n = n
         self.rows: dict[int, list[int]] = {}
 
-    def copy(self) -> "IntLattice":
-        other = IntLattice(self.n)
-        other.rows = {p: row[:] for p, row in self.rows.items()}
-        return other
-
     def add(self, vec: Sequence[int]) -> None:
         """Insert a vector."""
         if len(vec) != self.n:
@@ -88,6 +83,3 @@ class IntLattice:
 
     def rank(self) -> int:
         return len(self.rows)
-
-    def basis(self) -> list[list[int]]:
-        return [self.rows[p][:] for p in sorted(self.rows)]

@@ -35,7 +35,6 @@ from .words import (
     MEMBER,
     NON_MEMBER,
     UNDECIDED,
-    Budgets,
     MembershipCertificate,
     decide_membership,
     syntactic_member,
@@ -174,9 +173,8 @@ class FiltrationReport:
 class _NormalClosureOracle:
     """Membership in the normal closure of the loops added so far."""
 
-    def __init__(self, X: MetricGraph, budgets: Budgets, report: FiltrationReport):
+    def __init__(self, X: MetricGraph, report: FiltrationReport):
         self.X = X
-        self.budgets = budgets
         self.report = report
         self.relators = report.relator_words
         self.loops = report.relator_loops
@@ -193,7 +191,6 @@ class _NormalClosureOracle:
             graph=self.X,
             relator_loops=self.loops,
             target_loop=cls.word,
-            budgets=self.budgets,
         )
         name = render_loop(self.X, cls.word)
         self.report.queries.append(QueryRecord(cls.length, name, word, cls.word, count, cert))
@@ -213,7 +210,7 @@ class _NormalClosureOracle:
             return True
         for g in range(rank):
             if self._gen_certified[g] is None:
-                cert = syntactic_member(self.relators, (g + 1,), self.budgets)
+                cert = syntactic_member(self.relators, (g + 1,))
                 if cert is not None:
                     self._gen_certified[g] = cert
         if all(c is not None for c in self._gen_certified):
@@ -243,9 +240,7 @@ class _NormalClosureOracle:
 
 
 def covering_spectrum(
-    X: MetricGraph,
-    budgets: Budgets | None = None,
-    budget: Fraction | None = None,
+    X: MetricGraph, budget: Fraction | None = None
 ) -> tuple[CoveringSpectrum, FiltrationReport]:
     """Covering spectrum of a compact metric graph with full audit trail.
 
@@ -253,11 +248,11 @@ def covering_spectrum(
     every free generator of the fundamental group is certified inside the
     saturated closure, past which no further jumps can exist.  ``budget``
     is an inclusive ceiling on the lengths walked.  Its default is the
-    longest generator loop: there every free generator is itself a
-    relator, so the default always saturates.  A ceiling reached before
-    saturation raises BudgetExhaustedError.
+    largest marked length of a free generator's class: by then every
+    generator class is itself a relator, so the default always
+    saturates.  A ceiling reached before saturation raises
+    BudgetExhaustedError.
     """
-    budgets = budgets or Budgets()
     report = FiltrationReport()
     source = f"graph[V={X.graph.vertex_count},E={X.graph.edge_count},rank={X.rank}]"
     if X.rank == 0:
@@ -266,15 +261,12 @@ def covering_spectrum(
         return CoveringSpectrum((), source), report
 
     if budget is None:
-        budget = max(
-            sum((X.dart_length(d) for d in X.generator_loop(k)), Fraction(0))
-            for k in range(X.rank)
-        )
+        budget = max(X.generator_class_lengths())
     budget = Fraction(budget)
     if budget <= 0:
         raise ValueError("budget must be positive")
 
-    oracle = _NormalClosureOracle(X, budgets, report)
+    oracle = _NormalClosureOracle(X, report)
     classes = takewhile(lambda c: c.length <= budget, iter_classes(X))
     jumps, _, report.processed_to = jump_set(((c.length, c) for c in classes), oracle)
     if not oracle.saturated():

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence, TYPE_CHECKING
 
+from .groups import CapExceededError, Permutation, closure
 from .lattices import IntLattice
 
 if TYPE_CHECKING:
@@ -555,33 +556,11 @@ def _verify_coset_cert(cert, relators, target, rank) -> bool:
                 stack.append(col[c])
     if len(reached) != n:
         return False
-    if n <= _REGULARITY_CLOSURE_CAP:
-        # regular action: the generated permutation group has order n
-        if _permutation_group_order(cols[::2], n, cap=n) != n:
+    if 1 < n <= _REGULARITY_CLOSURE_CAP:
+        # regular action: the generated permutation group has order n;
+        # a single coset is regular without a check
+        try:
+            return closure([Permutation(col) for col in cols[::2]], cap=n).order == n
+        except CapExceededError:
             return False
     return True
-
-
-def _permutation_group_order(gen_cols: list[list[int]], n: int, cap: int) -> int:
-    ident = tuple(range(n))
-    gens = [tuple(col) for col in gen_cols]
-    inv = []
-    for g in gens:
-        out = [0] * n
-        for i, j in enumerate(g):
-            out[j] = i
-        inv.append(tuple(out))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for s in gens + inv:
-                q = tuple(s[p[i]] for i in range(n))
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-                    if len(seen) > cap:
-                        return len(seen)
-        frontier = nxt
-    return len(seen)

@@ -2,14 +2,16 @@
 
 These deliberately avoid the library's search strategies: class
 enumeration walks ALL closed walks (backtracking allowed) and reduces
-them, and the lattice jump scan recomputes an echelon form from scratch
-at every membership query.
+them, the lattice jump scan recomputes an echelon form from scratch at
+every membership query, and the coset graph forms the coset of every
+group element on its own instead of one pass of left orbits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from covspec.graphs import ColoredGraph, Edge
 from covspec.metric import CyclicWord, MetricGraph, reduce_dart_path
 
 
@@ -151,3 +153,21 @@ def _adjugate(M: list[list[int]]) -> list[list[int]]:
             minor = [row[:j] + row[j + 1:] for k, row in enumerate(M) if k != i]
             out[j][i] = (-1) ** (i + j) * _det(minor)
     return out
+
+
+def schreier_by_cosets(G, H, gens) -> ColoredGraph:
+    """The coset graph (H\\G)[S] from the coset H*g of every element g.
+
+    Cosets are ordered by their least element and labeled H*g{least}; the
+    edge (H*g, s) runs to the coset of (least element)*s.  Edge ids are
+    color-major, vertex-minor, as in covspec's Cayley graphs.
+    """
+    cosets = {frozenset(G.index[G.elements[h] * g] for h in H.members) for g in G.elements}
+    cosets = sorted(cosets, key=min)
+    vertex = {i: k for k, coset in enumerate(cosets) for i in coset}
+    edges = []
+    for color, s in gens:
+        for k, coset in enumerate(cosets):
+            target = vertex[G.index[G.elements[min(coset)] * s]]
+            edges.append(Edge(len(edges), k, target, color))
+    return ColoredGraph([f"H*g{min(c)}" for c in cosets], edges, [c for c, _ in gens])

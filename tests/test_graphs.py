@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from covspec import (
     ColoredGraph,
     Edge,
     Permutation,
+    Subgroup,
+    closure,
     action_is_free,
     cayley_graph,
     color_isomorphism,
@@ -15,11 +19,14 @@ from covspec import (
     left_action_permutations,
     regular_cayley_graph,
     schreier_graph,
+    stabilizer,
     subgroup_generated,
     surface_genus,
 )
 from covspec.fano_data import V1_ADJACENCY, V1_ADJACENCY_ALT, V2_ADJACENCY
 from covspec.graphs import is_color_automorphism
+
+from oracles import schreier_by_cosets
 
 
 def adjacency_of(graph: ColoredGraph) -> dict:
@@ -114,6 +121,28 @@ class TestSchreier:
     def test_line_stabilizer_quotient(self, fano, fano_graphs):
         g = schreier_graph(fano.group, fano.line_stabilizer(), fano_gens(fano, "points"))
         assert color_isomorphism(g, fano_graphs[1]) is not None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_coset_reference_on_random_generating_pairs(self, fano, seed):
+        rng = random.Random(seed)
+        while True:
+            a, b = rng.sample(fano.group.elements, 2)
+            G = closure([a, b])
+            if G.order == fano.group.order:
+                break
+        point, line = rng.randrange(7), rng.randrange(7)
+        line_of = [fano.line_action_of[fano.group.index[g]] for g in G.elements]
+        subgroups = [
+            subgroup_generated(G, []),
+            subgroup_generated(G, [a, b]),
+            stabilizer(G, point),
+            Subgroup(G, frozenset(i for i, lp in enumerate(line_of) if lp(line) == line)),
+            subgroup_generated(G, [rng.choice(G.elements)]),
+        ]
+        assert [H.order for H in subgroups[:4]] == [1, 168, 24, 24]
+        gens = [("A", a), ("B", b)]
+        for H in subgroups:
+            assert schreier_graph(G, H, gens) == schreier_by_cosets(G, H, gens)
 
 
 class TestColorIsomorphism:

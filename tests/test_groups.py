@@ -244,6 +244,7 @@ class TestJumpEquivalence:
         H2 = subgroup_generated(G, [Permutation([1, 2, 0])])
         rep = is_jump_equivalent(G, H1, H2)
         assert not rep.verdict
+        assert rep.witness == ((), (1,))
         S, T = rep.witness
         classes = G.conjugacy_classes()
         for H in (H1, H2):

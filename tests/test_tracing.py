@@ -2,8 +2,10 @@
 
 bench/tracing.py wraps covspec functions in the namespaces of the modules
 that call them; a refactor that unbinds one of those names breaks the
-traced benchmark.  The check runs in a fresh interpreter so that the
-tracer meets a freshly imported package and cannot leave it patched.
+traced benchmark.  The traced calls run the spectrum driver and then the
+group and graph layers in the order a Gassmann-Sunada triple uses them.
+The check runs in a fresh interpreter so that the tracer meets a freshly
+imported package and cannot leave it patched.
 """
 
 from __future__ import annotations
@@ -42,11 +44,19 @@ try:
     spectrum, report = cv.spectrum.covering_spectrum(X)
     assert spectrum.as_strings() == ["1/1", "3/2"]
     assert report.verify_all_certificates(X)
+    # the group and graph layers, as a Gassmann-Sunada triple is checked
+    gens = list(covspec.fano_actions().point_perms.items())
+    G = cv.groups.closure([p for _, p in gens])
+    H1 = cv.groups.stabilizer(G, 0)
+    H2 = cv.groups.subgroup_generated(G, [gens[1][1]])
+    assert cv.graphs.schreier_graph(G, H1, gens).vertex_count == 7
+    assert not cv.groups.is_jump_equivalent(G, H1, H2).verdict
 finally:
     tracer.uninstall()
 names = {span[0] for span in tracer.spans}
 for name in ("spectrum.covering_spectrum", "spectrum.jump_set", "words.decide",
-             "words.replay"):
+             "words.replay", "groups.closure", "graphs.schreier_graph",
+             "groups.subgroup_generated", "groups.jump_equivalent"):
     if name not in names:
         sys.exit(f"no span {name}")
 for (owner, attr), original in zip(targets, originals):

@@ -11,6 +11,7 @@ import pytest
 
 from covspec import (
     Budgets,
+    MembershipCertificate,
     abelian_nonmember,
     canonical_cyclic_word,
     contraction_nonmember,
@@ -26,6 +27,7 @@ from covspec import (
     verify_certificate,
     word_inverse,
 )
+from covspec.words import CosetTable
 
 LA, LB = Fraction(2), Fraction(5, 2)
 
@@ -123,6 +125,34 @@ class TestCosetTier:
         assert verify_certificate(cert, rels, (1,), 2)
         assert coset_membership(rels, (1, 1), rank=2).verdict == "member"
         assert coset_membership(rels, (1, 2), rank=2).verdict == "non_member"
+
+    @pytest.mark.parametrize(
+        "rels, rank, target, size",
+        [
+            ([(1, 1, 1)], 1, (1,), 3),
+            ([(1, 1), (2, 2), (1, 2) * 3], 2, (1, 2), 6),
+        ],
+    )
+    def test_replay_of_nontrivial_finite_quotient(self, rels, rank, target, size):
+        cert = coset_membership(rels, target, rank)
+        assert cert.verdict == "non_member" and cert.evidence["table_size"] == size
+        assert verify_certificate(cert, rels, target, rank)
+        for key, forged in (("table_size", size + 1), ("target_coset", 0)):
+            bad = MembershipCertificate(cert.verdict, cert.tier, {**cert.evidence, key: forged})
+            assert not verify_certificate(bad, rels, target, rank)
+
+    def test_replay_rejects_a_transitive_table_that_is_not_regular(self, monkeypatch):
+        # S3 on the three cosets of a subgroup of order 2 kills a^2, b^2 and
+        # (ab)^3 and is transitive, but its group has order 6, not 3
+        rels = [(1, 1), (2, 2), (1, 2) * 3]
+        table = CosetTable([[1, 1, 0, 0], [0, 0, 2, 2], [2, 2, 1, 1]], complete=True)
+        monkeypatch.setattr("covspec.words.todd_coxeter", lambda relators, rank, cap: table)
+        cert = MembershipCertificate(
+            "non_member",
+            "coset_enumeration",
+            {"complete": True, "cap": 100, "table_size": 3, "target_coset": 1},
+        )
+        assert not verify_certificate(cert, rels, (1,), 2)
 
     def test_partial_trace_member(self):
         # F/<<x>> is infinite (free on y), but x itself traces to coset 0
