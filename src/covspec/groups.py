@@ -2,7 +2,11 @@
 
 Everything here targets small groups (a configurable cap, one million
 elements by default), so closure enumeration and conjugacy classes are
-computed by plain breadth-first search rather than stabilizer chains.
+computed by breadth-first search rather than stabilizer chains.  Once a
+group is closed, its element list fixes an index for every element, and
+the searches inside it (generated subgroups, conjugacy classes) run in
+that index space: products are composed as raw image tuples and looked up
+by image, so no ``Permutation`` is built or validated per product.
 
 Composition convention: ``p * q`` means "apply p, then q".  With points as
 row vectors and permutations induced by right matrix multiplication this
@@ -13,6 +17,7 @@ package are right actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -88,8 +93,10 @@ class FiniteGroup:
 
     Element 0 is the identity; the element order is the breadth-first
     closure order with the generator order fixed, so it is deterministic.
-    Conjugacy classes are conjugation orbits, listed by minimal element
-    index and stored as sorted index tuples.
+    ``index`` maps each element to its index, and ``image_index`` maps its
+    image tuple to the same index; the searches inside the group work on
+    indices and image tuples.  Conjugacy classes are conjugation orbits,
+    listed by minimal element index and stored as sorted index tuples.
     """
 
     def __init__(self, generators: Sequence[Permutation], elements: Sequence[Permutation]):
@@ -103,6 +110,11 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def image_index(self) -> dict[tuple[int, ...], int]:
+        """Image tuple -> element index, built on first use."""
+        return {g.images: i for i, g in enumerate(self.elements)}
+
     def __contains__(self, g: Permutation) -> bool:
         return g in self.index
 
@@ -113,35 +125,36 @@ class FiniteGroup:
 
     def _compute_classes(self) -> list[tuple[int, ...]]:
         # flood fill by generator conjugation; generators suffice since
-        # conjugation by a product is a composite of generator conjugations
+        # conjugation by a product is a composite of generator conjugations.
+        # One column per conjugator s maps index i to the index of
+        # s^-1 * g_i * s, whose images are s[g_i[s^-1[k]]].
+        index = self.image_index
+        columns = []
+        for s in self.generators:
+            fwd, back = s.images, s.inverse().images
+            for img, inv in ((fwd, back), (back, fwd)):
+                columns.append(
+                    [index[tuple(img[g.images[k]] for k in inv)] for g in self.elements]
+                )
         seen = set()
         classes = []
-        gens = self.generators + [g.inverse() for g in self.generators]
-        for i, g in enumerate(self.elements):
+        for i in range(self.order):
             if i in seen:
                 continue
             orbit = {i}
-            frontier = [g]
+            frontier = [i]
             while frontier:
                 nxt = []
                 for x in frontier:
-                    for s in gens:
-                        y = x.conjugate_by(s)
-                        j = self.index[y]
+                    for column in columns:
+                        j = column[x]
                         if j not in orbit:
                             orbit.add(j)
-                            nxt.append(y)
+                            nxt.append(j)
                 frontier = nxt
             seen |= orbit
             classes.append(tuple(sorted(orbit)))
         return classes
-
-    def class_of(self, g: Permutation) -> int:
-        i = self.index[g]
-        for k, cls in enumerate(self.conjugacy_classes()):
-            if i in cls:
-                return k
-        raise AssertionError("classes do not partition the group")
 
 
 @dataclass(frozen=True)
@@ -217,15 +230,36 @@ def closure(generators: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> 
 
 
 def subgroup_generated(G: FiniteGroup, S: Iterable[Permutation]) -> Subgroup:
-    """The smallest subgroup of G containing S."""
+    """The smallest subgroup of G containing S.
+
+    The subgroup grows one generator at a time by breadth-first search on
+    image tuples; a generator already inside it is skipped.
+    """
     gens = list(S)
     for g in gens:
         if g not in G:
             raise ValueError(f"element not in group: {g!r}")
-    if not gens:
-        return Subgroup(G, frozenset([0]))
-    sub = closure(gens, cap=G.order)
-    return Subgroup(G, frozenset(G.index[g] for g in sub.elements))
+    index = G.image_index
+    members = {0}
+    used: list[tuple[int, ...]] = []
+    for g in gens:
+        if index[g.images] in members:
+            continue  # already in the subgroup built so far
+        used.append(g.images)
+        # the members so far are closed under the earlier generators, so
+        # they need only the new one; new members need all of them
+        frontier, step = [G.elements[i].images for i in members], [g.images]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for t in step:
+                    y = tuple(t[k] for k in x)  # x * t: apply x, then t
+                    i = index[y]
+                    if i not in members:
+                        members.add(i)
+                        nxt.append(y)
+            frontier, step = nxt, used
+    return Subgroup(G, frozenset(members))
 
 
 def stabilizer(G: FiniteGroup, point: int) -> Subgroup:
@@ -297,14 +331,19 @@ def is_jump_equivalent(
     if len(classes) > class_cap:
         raise CapExceededError(f"{len(classes)} conjugacy classes exceeds cap {class_cap}")
     n = len(classes)
+    # many stable subsets meet H1 or H2 in the same set; generate each
+    # distinct intersection once
+    generated: dict[frozenset[int], frozenset[int]] = {}
+
+    def generate(meet: frozenset[int]) -> frozenset[int]:
+        if meet not in generated:
+            generated[meet] = subgroup_generated(G, [G.elements[i] for i in meet]).members
+        return generated[meet]
+
     patterns: list[tuple[frozenset[int], frozenset[int]]] = []
     for mask in range(1 << n):
         stable = {i for k in range(n) if mask >> k & 1 for i in classes[k]}
-        p1, p2 = (
-            subgroup_generated(G, [G.elements[i] for i in H.members & stable]).members
-            for H in (H1, H2)
-        )
-        patterns.append((p1, p2))
+        patterns.append((generate(H1.members & stable), generate(H2.members & stable)))
     # the partitions coincide iff pairing their blocks is a bijection
     h1_blocks = {p1 for p1, _ in patterns}
     h2_blocks = {p2 for _, p2 in patterns}

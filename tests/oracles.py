@@ -4,7 +4,11 @@ These deliberately avoid the library's search strategies: class
 enumeration walks ALL closed walks (backtracking allowed) and reduces
 them, the lattice jump scan recomputes an echelon form from scratch at
 every membership query, and the coset graph forms the coset of every
-group element on its own instead of one pass of left orbits.
+group element on its own instead of one pass of left orbits.  The group
+oracles keep the group layer's first, index-free paths: generated subgroups
+by ``Permutation`` closure, conjugacy classes by ``conjugate_by`` flood
+fill, and jump equivalence by the unmemoised pattern loop with a quadratic
+witness search.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from covspec.graphs import ColoredGraph, Edge
+from covspec.groups import Permutation
 from covspec.metric import CyclicWord, MetricGraph, reduce_dart_path
 
 
@@ -171,3 +176,73 @@ def schreier_by_cosets(G, H, gens) -> ColoredGraph:
             target = vertex[G.index[G.elements[min(coset)] * s]]
             edges.append(Edge(len(edges), k, target, color))
     return ColoredGraph([f"H*g{min(c)}" for c in cosets], edges, [c for c, _ in gens])
+
+
+def subgroup_by_closure(G, gens) -> frozenset[int]:
+    """Indices of <gens> in G, by breadth-first Permutation closure."""
+    gens = list(gens)
+    if not gens:
+        return frozenset([0])
+    ident = Permutation.identity(G.degree)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = g * s
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return frozenset(G.index[g] for g in seen)
+
+
+def classes_by_conjugation(G) -> list[tuple[int, ...]]:
+    """Conjugacy classes by flood fill with conjugate_by, in the order of
+    their least element index."""
+    conjugators = G.generators + [s.inverse() for s in G.generators]
+    seen: set[int] = set()
+    classes = []
+    for i, g in enumerate(G.elements):
+        if i in seen:
+            continue
+        orbit = {i}
+        frontier = [g]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s in conjugators:
+                    y = x.conjugate_by(s)
+                    if G.index[y] not in orbit:
+                        orbit.add(G.index[y])
+                        nxt.append(y)
+            frontier = nxt
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return classes
+
+
+def jump_equivalence_by_patterns(G, H1, H2):
+    """(verdict, witness, stable subset count) of the jump-equivalence check.
+
+    Generates <H ∩ S> afresh for every union S of classes and searches all
+    pairs of subsets, in (i, j) order, for one equal under one subgroup and
+    different under the other.
+    """
+    classes = classes_by_conjugation(G)
+    n = len(classes)
+    patterns = []
+    for mask in range(1 << n):
+        stable = {i for k in range(n) if mask >> k & 1 for i in classes[k]}
+        patterns.append(tuple(
+            subgroup_by_closure(G, [G.elements[i] for i in sorted(H.members & stable)])
+            for H in (H1, H2)
+        ))
+    for i in range(1 << n):
+        for j in range(i + 1, 1 << n):
+            if (patterns[i][0] == patterns[j][0]) != (patterns[i][1] == patterns[j][1]):
+                s = tuple(k for k in range(n) if i >> k & 1)
+                t = tuple(k for k in range(n) if j >> k & 1)
+                return False, (s, t), 1 << n
+    return True, None, 1 << n

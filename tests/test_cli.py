@@ -179,6 +179,20 @@ class TestTripleCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "exceeds cap" in err
 
+    def test_subgroup_generator_outside_group_exits_3(self, tmp_path, capsys):
+        (tmp_path / "a3.txt").write_text("1 2 0\n")
+        (tmp_path / "h1.txt").write_text("1 0 2\n")
+        (tmp_path / "h2.txt").write_text("0 1 2\n")
+        code, out, err = run_cli(
+            capsys,
+            "triple",
+            "--group", str(tmp_path / "a3.txt"),
+            "--h1", str(tmp_path / "h1.txt"),
+            "--h2", str(tmp_path / "h2.txt"),
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: element not in group")
+
     def test_file_group_needs_subgroups(self, tmp_path, capsys):
         (tmp_path / "g.txt").write_text("1 0 2\n")
         code, _, _ = run_cli(capsys, "triple", "--group", str(tmp_path / "g.txt"))

@@ -15,7 +15,14 @@ from covspec import (
     stabilizer,
     subgroup_generated,
 )
-from covspec.groups import FANO_MATRIX_A, FANO_MATRIX_B
+from covspec.groups import (
+    FANO_MATRIX_A,
+    FANO_MATRIX_B,
+    _matrix_line_perm,
+    _matrix_point_perm,
+)
+
+from oracles import classes_by_conjugation, jump_equivalence_by_patterns, subgroup_by_closure
 
 
 def cycle_map(perm, labels):
@@ -135,8 +142,6 @@ class TestFanoActions:
         assert FANO_MATRIX_A.is_invertible() and FANO_MATRIX_B.is_invertible()
         ab = FANO_MATRIX_A * FANO_MATRIX_B
         prodperm = fano.point_perms["A"] * fano.point_perms["B"]
-        from covspec.groups import _matrix_point_perm
-
         assert _matrix_point_perm(ab) == prodperm
 
     def test_singular_matrix(self):
@@ -145,7 +150,7 @@ class TestFanoActions:
 
 class TestSubgroups:
     def test_empty_generating_set(self, fano):
-        assert subgroup_generated(fano.group, []).order == 1
+        assert subgroup_generated(fano.group, []).members == frozenset([0])
 
     def test_cyclic(self, fano):
         g = fano.group.elements[17]
@@ -165,9 +170,18 @@ class TestSubgroups:
         assert H1.members == H2.members  # idempotent
         assert H1.members <= subgroup_generated(G, bigger).members
 
+    def test_duplicate_redundant_and_reordered_generators(self, fano):
+        G = fano.group
+        a, b = fano.point_stabilizer().element_list()[5:7]
+        expected = subgroup_generated(G, [a, b]).members
+        assert 1 < len(expected) < G.order
+        for gens in ([b, a], [a, a, b, a, b], [G.elements[0], a, b, a * b], [a * b, b.inverse(), a]):
+            assert subgroup_generated(G, gens).members == expected
+
     def test_foreign_element_rejected(self, fano):
-        with pytest.raises(ValueError):
-            subgroup_generated(fano.group, [Permutation([1, 0, 2, 3, 4, 5, 6])])
+        for foreign in ([1, 0, 2, 3, 4, 5, 6], [1, 0, 2]):
+            with pytest.raises(ValueError, match="element not in group"):
+                subgroup_generated(fano.group, [fano.group.elements[3], Permutation(foreign)])
 
     def test_stabilizer_orders(self, fano):
         assert fano.point_stabilizer("100").order == 24
@@ -264,6 +278,67 @@ class TestJumpEquivalence:
             is_jump_equivalent(
                 fano.group, fano.point_stabilizer(), fano.line_stabilizer(), class_cap=3
             )
+
+
+def _gl32_on_points_and_lines(rng):
+    """GL(3,2) on the 7 points and 7 lines (shifted to 7-13), closed from a
+    random generating pair of invertible matrices."""
+    while True:
+        mats = []
+        while len(mats) < 2:
+            M = GF2Matrix([[rng.randint(0, 1) for _ in range(3)] for _ in range(3)])
+            if M.is_invertible():
+                mats.append(M)
+        gens = [
+            Permutation(_matrix_point_perm(M).images + tuple(7 + j for j in _matrix_line_perm(M).images))
+            for M in mats
+        ]
+        G = closure(gens)
+        if G.order == 168:
+            return G
+
+
+class TestIndexSpaceAgainstOracles:
+    """Subgroups, classes and jump-equivalence reports match the
+    Permutation-product paths kept in tests/oracles.py."""
+
+    def check(self, G, gen_sets, pairs):
+        assert G.conjugacy_classes() == classes_by_conjugation(G)
+        for gens in gen_sets:
+            assert subgroup_generated(G, gens).members == subgroup_by_closure(G, gens)
+        for H1, H2 in pairs:
+            rep = is_jump_equivalent(G, H1, H2)
+            expected = jump_equivalence_by_patterns(G, H1, H2)
+            assert (rep.verdict, rep.witness, rep.stable_subset_count) == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gl32_random_generating_pairs(self, seed):
+        rng = random.Random(seed)
+        G = _gl32_on_points_and_lines(rng)
+        x, g = rng.sample(G.elements, 2)
+        H1, H2 = stabilizer(G, rng.randrange(7)), stabilizer(G, 7 + rng.randrange(7))
+        K1, K2 = subgroup_generated(G, [x]), subgroup_generated(G, [x.conjugate_by(g)])
+        assert H1.order == H2.order == 24 and K1.order == K2.order
+        gen_sets = [[], [x], [x, g], G.generators, rng.sample(G.elements, 3), H1.element_list()]
+        self.check(G, gen_sets, [(H1, H2), (K1, K2)])
+
+    @pytest.mark.parametrize("seed", range(18))
+    def test_random_subgroups_of_s3_to_s5(self, seed):
+        # degree 3, 4, 5 in turn; seeds 0-2 and 9-11 (a third) compare a
+        # subgroup with a conjugate of it
+        rng = random.Random(seed)
+        n = 3 + seed % 3
+        G = closure([Permutation([1, 0, *range(2, n)]), Permutation([*range(1, n), 0])])
+        conjugate = seed // 3 % 3 == 0
+        gens1 = rng.sample(G.elements, rng.randint(int(conjugate), 2))
+        H1 = subgroup_generated(G, gens1)
+        if conjugate:
+            g = rng.choice(G.elements)
+            gens2 = [x.conjugate_by(g) for x in gens1]
+        else:
+            gens2 = rng.sample(G.elements, rng.randint(0, 2))
+        H2 = subgroup_generated(G, gens2)
+        self.check(G, [gens1, gens2, gens1 + gens2], [(H1, H2)])
 
 
 class TestGeneratorFiles:
