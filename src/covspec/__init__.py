@@ -63,7 +63,6 @@ from .spectrum import (
     length_spectrum_containment,
 )
 from .words import (
-    Budgets,
     MembershipCertificate,
     abelian_nonmember,
     canonical_cyclic_word,

@@ -5,7 +5,8 @@ All reports are printed as deterministic JSON (sorted keys), so identical
 inputs produce byte-identical output.
 
 Exit codes: 0 pass, 1 assertion failure, 2 undecided oracle, exhausted
-budget or exceeded cap, 3 input error.
+budget or exceeded cap, 3 input error (bad arguments or file contents, or a
+file that cannot be read or written).
 
 Graph spectra walk marked lengths in increasing order and stop once the
 normal closure of the classes walked is the whole fundamental group.
@@ -176,12 +177,12 @@ def _resolve_triple(args):
     if args.group == "fano":
         acts = fano_actions()
         return acts.group, acts.point_stabilizer(), acts.line_stabilizer()
-    G = closure(load_generators(args.group))
+    # check every input before the group is closed, which can take long
     if not (args.h1 and args.h2):
         raise ValueError("file-based groups need --h1 and --h2 generator files")
-    H1 = subgroup_generated(G, load_generators(args.h1))
-    H2 = subgroup_generated(G, load_generators(args.h2))
-    return G, H1, H2
+    gens, h1, h2 = (load_generators(path) for path in (args.group, args.h1, args.h2))
+    G = closure(gens)
+    return G, subgroup_generated(G, h1), subgroup_generated(G, h2)
 
 
 def cmd_triple(args) -> int:
@@ -337,7 +338,7 @@ def main(argv=None) -> int:
     except (UndecidedOracleError, BudgetExhaustedError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

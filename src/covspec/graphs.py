@@ -144,7 +144,8 @@ def regular_cayley_graph(G: FiniteGroup, gens: Sequence[tuple[str, Permutation]]
     for color, s in gens:
         if s not in G:
             raise ValueError(f"generator {color} not in group")
-        perms.append((color, Permutation([G.index[G.elements[i] * s] for i in range(G.order)])))
+        k = G.index[s.images]
+        perms.append((color, Permutation([G.product(i, k) for i in range(G.order)])))
     labels = [f"g{i}" for i in range(G.order)]
     return cayley_graph(perms, labels)
 
@@ -156,24 +157,26 @@ def schreier_graph(
 
     The coset H*g is the left H-orbit of g, so one pass over G in index
     order finds every coset, first reached at its minimal element; the
-    edge (H*g, s) runs to the coset of g*s.  This is the quotient of G's
+    edge (H*g, s) runs to the coset of g*s.  Every product is taken by
+    index with ``FiniteGroup.product``.  This is the quotient of G's
     Cayley graph by the left H-action, vertex for vertex; the tests check
     it edge for edge against an independent coset construction.
     """
+    steps = []
     for color, s in gens:
         if s not in G:
             raise ValueError(f"generator {color} not in group")
+        steps.append((color, G.index[s.images]))
     coset_of: dict[int, int] = {}
     reps: list[int] = []
     for i in range(G.order):
         if i in coset_of:
             continue
         for h in H.members:
-            coset_of[G.index[G.elements[h] * G.elements[i]]] = len(reps)
+            coset_of[G.product(h, i)] = len(reps)
         reps.append(i)
     perms = [
-        (color, Permutation([coset_of[G.index[G.elements[r] * s]] for r in reps]))
-        for color, s in gens
+        (color, Permutation([coset_of[G.product(r, k)] for r in reps])) for color, k in steps
     ]
     return cayley_graph(perms, [f"H*g{r}" for r in reps])
 
@@ -258,10 +261,9 @@ def action_is_free(graph: ColoredGraph, perms: Sequence[Permutation]) -> bool:
 
 def left_action_permutations(G: FiniteGroup) -> list[Permutation]:
     """G acting on the vertices of its own Cayley graph by left multiplication."""
-    out = []
-    for g in G.elements:
-        out.append(Permutation([G.index[g * G.elements[i]] for i in range(G.order)]))
-    return out
+    return [
+        Permutation([G.product(g, i) for i in range(G.order)]) for g in range(G.order)
+    ]
 
 
 def surface_genus(vertex_count: int, base_genus: int, handle_count: int) -> int:
@@ -331,5 +333,7 @@ def graph_from_json(text: str) -> tuple[ColoredGraph, dict[str, str] | None]:
         raise ValueError(f"malformed graph JSON: missing or bad field {exc}") from exc
     lengths = doc.get("lengths")
     if lengths is not None:
+        if not isinstance(lengths, dict):
+            raise ValueError("malformed graph JSON: \"lengths\" must be an object")
         lengths = {str(k): str(v) for k, v in lengths.items()}
     return graph, lengths

@@ -4,9 +4,11 @@ Everything here targets small groups (a configurable cap, one million
 elements by default), so closure enumeration and conjugacy classes are
 computed by breadth-first search rather than stabilizer chains.  Once a
 group is closed, its element list fixes an index for every element, and
-the searches inside it (generated subgroups, conjugacy classes) run in
-that index space: products are composed as raw image tuples and looked up
-by image, so no ``Permutation`` is built or validated per product.
+everything computed inside it (generated subgroups, conjugacy classes,
+conjugate subgroups, Cayley and Schreier graphs) runs in that index space:
+a product is composed as a raw image tuple and looked up in the group's
+one image -> index map, so no ``Permutation`` is built or validated per
+product.  ``closure`` searches on image tuples the same way.
 
 Composition convention: ``p * q`` means "apply p, then q".  With points as
 row vectors and permutations induced by right matrix multiplication this
@@ -17,7 +19,6 @@ package are right actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -93,30 +94,30 @@ class FiniteGroup:
 
     Element 0 is the identity; the element order is the breadth-first
     closure order with the generator order fixed, so it is deterministic.
-    ``index`` maps each element to its index, and ``image_index`` maps its
-    image tuple to the same index; the searches inside the group work on
-    indices and image tuples.  Conjugacy classes are conjugation orbits,
-    listed by minimal element index and stored as sorted index tuples.
+    ``index`` maps each element's image tuple to its index, and
+    ``product`` multiplies by index through it.  Conjugacy classes are
+    conjugation orbits, listed by minimal element index and stored as
+    sorted index tuples.
     """
 
     def __init__(self, generators: Sequence[Permutation], elements: Sequence[Permutation]):
         self.generators = list(generators)
         self.elements = list(elements)
         self.degree = elements[0].degree
-        self.index = {g: i for i, g in enumerate(elements)}
+        self.index = {g.images: i for i, g in enumerate(elements)}
         self._classes: list[tuple[int, ...]] | None = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    @cached_property
-    def image_index(self) -> dict[tuple[int, ...], int]:
-        """Image tuple -> element index, built on first use."""
-        return {g.images: i for i, g in enumerate(self.elements)}
+    def product(self, i: int, j: int) -> int:
+        """Index of e_i * e_j: apply e_i, then e_j."""
+        t = self.elements[j].images
+        return self.index[tuple([t[k] for k in self.elements[i].images])]
 
     def __contains__(self, g: Permutation) -> bool:
-        return g in self.index
+        return g.images in self.index
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         if self._classes is None:
@@ -127,14 +128,13 @@ class FiniteGroup:
         # flood fill by generator conjugation; generators suffice since
         # conjugation by a product is a composite of generator conjugations.
         # One column per conjugator s maps index i to the index of
-        # s^-1 * g_i * s, whose images are s[g_i[s^-1[k]]].
-        index = self.image_index
+        # s^-1 * g_i * s.
         columns = []
         for s in self.generators:
-            fwd, back = s.images, s.inverse().images
-            for img, inv in ((fwd, back), (back, fwd)):
+            fwd, back = self.index[s.images], self.index[s.inverse().images]
+            for c, c_inv in ((fwd, back), (back, fwd)):
                 columns.append(
-                    [index[tuple(img[g.images[k]] for k in inv)] for g in self.elements]
+                    [self.product(self.product(c_inv, i), c) for i in range(self.order)]
                 )
         seen = set()
         classes = []
@@ -178,28 +178,23 @@ class Subgroup:
         return [self.parent.elements[i] for i in sorted(self.members)]
 
     def is_closed(self) -> bool:
-        """Full closure check; constructions in this module satisfy it."""
-        idx = self.parent.index
-        elems = self.element_list()
-        for a in elems:
-            if idx[a.inverse()] not in self.members:
-                return False
-            for b in elems:
-                if idx[a * b] not in self.members:
-                    return False
-        return True
+        """Full closure check; constructions in this module satisfy it.
+
+        A finite set closed under products also holds every inverse.
+        """
+        product = self.parent.product
+        return all(product(a, b) in self.members for a in self.members for b in self.members)
 
     def __contains__(self, g: Permutation) -> bool:
-        i = self.parent.index.get(g)
+        i = self.parent.index.get(g.images)
         return i is not None and i in self.members
 
     def conjugated_by(self, g: Permutation) -> "Subgroup":
         """The subgroup g^-1 H g."""
-        idx = self.parent.index
-        members = frozenset(
-            idx[self.parent.elements[i].conjugate_by(g)] for i in self.members
-        )
-        return Subgroup(self.parent, members)
+        G = self.parent
+        k, k_inv = G.index[g.images], G.index[g.inverse().images]
+        members = frozenset(G.product(G.product(k_inv, i), k) for i in self.members)
+        return Subgroup(G, members)
 
 
 def closure(generators: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -210,15 +205,16 @@ def closure(generators: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> 
     for g in generators:
         if g.degree != degree:
             raise ValueError("generator degrees differ")
-    ident = Permutation.identity(degree)
+    steps = [s.images for s in generators]
+    ident = tuple(range(degree))
     elements = [ident]
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for g in frontier:
-            for s in generators:
-                h = g * s
+            for s in steps:
+                h = tuple([s[k] for k in g])  # g * s: apply g, then s
                 if h not in seen:
                     seen.add(h)
                     elements.append(h)
@@ -226,37 +222,36 @@ def closure(generators: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> 
                     if len(elements) > cap:
                         raise CapExceededError(f"group order exceeds cap {cap}")
         frontier = nxt
-    return FiniteGroup(generators, elements)
+    return FiniteGroup(generators, [Permutation(g) for g in elements])
 
 
 def subgroup_generated(G: FiniteGroup, S: Iterable[Permutation]) -> Subgroup:
     """The smallest subgroup of G containing S.
 
     The subgroup grows one generator at a time by breadth-first search on
-    image tuples; a generator already inside it is skipped.
+    element indices; a generator already inside it is skipped.
     """
     gens = list(S)
     for g in gens:
         if g not in G:
             raise ValueError(f"element not in group: {g!r}")
-    index = G.image_index
     members = {0}
-    used: list[tuple[int, ...]] = []
+    used: list[int] = []
     for g in gens:
-        if index[g.images] in members:
+        t = G.index[g.images]
+        if t in members:
             continue  # already in the subgroup built so far
-        used.append(g.images)
+        used.append(t)
         # the members so far are closed under the earlier generators, so
         # they need only the new one; new members need all of them
-        frontier, step = [G.elements[i].images for i in members], [g.images]
+        frontier, step = list(members), [t]
         while frontier:
             nxt = []
             for x in frontier:
-                for t in step:
-                    y = tuple(t[k] for k in x)  # x * t: apply x, then t
-                    i = index[y]
-                    if i not in members:
-                        members.add(i)
+                for s in step:
+                    y = G.product(x, s)
+                    if y not in members:
+                        members.add(y)
                         nxt.append(y)
             frontier, step = nxt, used
     return Subgroup(G, frozenset(members))

@@ -67,13 +67,10 @@ def canonical_cyclic_word(word: Sequence[int]) -> FreeWord:
     return least_rotation(w, word_inverse(w))
 
 
-@dataclass
-class Budgets:
-    """Caps for the oracle tiers."""
-
-    syntactic_terms: int = 3
-    conjugator_length: int = 4
-    coset_cap: int = 100_000
+# search limits of the syntactic tier: relator forms peeled off a target,
+# and the length of the target prefixes and suffixes that conjugate them
+SYNTACTIC_TERMS = 3
+CONJUGATOR_LENGTH = 4
 
 
 @dataclass
@@ -136,16 +133,15 @@ def _term_word(relators, conj, j, exp) -> FreeWord:
 def syntactic_member(
     relators: Sequence[FreeWord],
     target: Sequence[int],
-    budgets: Budgets | None = None,
 ) -> MembershipCertificate | None:
     """Member certificates from rotations, powers, and shortening products.
 
     The search peels conjugated relator forms off either end of the target,
     requiring strict length decrease, with conjugators drawn from target
-    prefixes/suffixes up to the configured length.  Sound by construction:
-    the witness expression multiplies out to the target.
+    prefixes/suffixes up to ``CONJUGATOR_LENGTH``, at most
+    ``SYNTACTIC_TERMS`` deep.  Sound by construction: the witness
+    expression multiplies out to the target.
     """
-    budgets = budgets or Budgets()
     target = free_reduce(target)
     if not target:
         return MembershipCertificate(MEMBER, "syntactic", {"expression": []})
@@ -162,20 +158,16 @@ def syntactic_member(
                 expr = [[list(wrap) + list(conj), j, exp * k]]
                 return _syntactic_cert(relators, target, expr)
 
-    max_terms = budgets.syntactic_terms
-    clen = budgets.conjugator_length
-
     # products of two rotated relators, which the shrinking peel below can
     # miss when the partial product does not get shorter
-    if max_terms >= 2:
-        for f1, c1, j1, e1 in forms:
-            for f2, c2, j2, e2 in forms:
-                if free_reduce(f1 + f2) == core:
-                    expr = [
-                        [list(wrap) + list(c1), j1, e1],
-                        [list(wrap) + list(c2), j2, e2],
-                    ]
-                    return _syntactic_cert(relators, target, expr)
+    for f1, c1, j1, e1 in forms:
+        for f2, c2, j2, e2 in forms:
+            if free_reduce(f1 + f2) == core:
+                expr = [
+                    [list(wrap) + list(c1), j1, e1],
+                    [list(wrap) + list(c2), j2, e2],
+                ]
+                return _syntactic_cert(relators, target, expr)
 
     def peel(w: FreeWord, depth: int):
         if not w:
@@ -184,7 +176,7 @@ def syntactic_member(
             return None
         for f, conj, j, exp in forms:
             # peel a form off the left, conjugating by prefixes of w
-            for i in range(min(clen, len(w)) + 1):
+            for i in range(min(CONJUGATOR_LENGTH, len(w)) + 1):
                 p = w[:i]
                 t = free_reduce(p + f + word_inverse(p))
                 rest = free_reduce(word_inverse(t) + w)
@@ -193,7 +185,7 @@ def syntactic_member(
                     if tail is not None:
                         return [[list(free_reduce(p + conj)), j, exp]] + tail
             # and off the right, conjugating by suffixes
-            for i in range(min(clen, len(w)) + 1):
+            for i in range(min(CONJUGATOR_LENGTH, len(w)) + 1):
                 s = w[len(w) - i:]
                 t = free_reduce(word_inverse(s) + f + s)
                 rest = free_reduce(w + word_inverse(t))
@@ -203,7 +195,7 @@ def syntactic_member(
                         return head + [[list(free_reduce(word_inverse(s) + conj)), j, exp]]
         return None
 
-    expr = peel(core, max_terms)
+    expr = peel(core, SYNTACTIC_TERMS)
     if expr is None:
         return None
     expr = [[list(wrap) + c, j, e] for c, j, e in expr]
@@ -444,17 +436,17 @@ def decide_membership(
     graph: "MetricGraph | None" = None,
     relator_loops: Sequence["CyclicWord"] | None = None,
     target_loop: "CyclicWord | None" = None,
-    budgets: Budgets | None = None,
+    coset_cap: int = 100_000,
 ) -> MembershipCertificate:
     """Run the tiers in order and return the first conclusive certificate.
 
     The contraction tier needs the graph context (the loops realizing the
     relators and target); it is skipped when that context is absent.
+    ``coset_cap`` bounds the coset table of the last tier.
     """
-    budgets = budgets or Budgets()
     relators = [free_reduce(r) for r in relators]
     relators = [r for r in relators if r]
-    cert = syntactic_member(relators, target, budgets)
+    cert = syntactic_member(relators, target)
     if cert is not None:
         return cert
     cert = abelian_nonmember(relators, target, rank)
@@ -464,7 +456,7 @@ def decide_membership(
         cert = contraction_nonmember(graph, relator_loops, target_loop)
         if cert is not None:
             return cert
-    cert = coset_membership(relators, target, rank, budgets.coset_cap)
+    cert = coset_membership(relators, target, rank, coset_cap)
     if cert is not None:
         return cert
     return MembershipCertificate(
@@ -472,9 +464,9 @@ def decide_membership(
         "exhausted",
         {
             "budgets": {
-                "syntactic_terms": budgets.syntactic_terms,
-                "conjugator_length": budgets.conjugator_length,
-                "coset_cap": budgets.coset_cap,
+                "syntactic_terms": SYNTACTIC_TERMS,
+                "conjugator_length": CONJUGATOR_LENGTH,
+                "coset_cap": coset_cap,
             }
         },
     )

@@ -5,18 +5,20 @@ enumeration walks ALL closed walks (backtracking allowed) and reduces
 them, the lattice jump scan recomputes an echelon form from scratch at
 every membership query, and the coset graph forms the coset of every
 group element on its own instead of one pass of left orbits.  The group
-oracles keep the group layer's first, index-free paths: generated subgroups
-by ``Permutation`` closure, conjugacy classes by ``conjugate_by`` flood
-fill, and jump equivalence by the unmemoised pattern loop with a quadratic
-witness search.
+oracles keep the group layer's first, index-free paths, multiplying with
+``Permutation`` products: closure and generated subgroups by
+``Permutation`` breadth-first search, conjugacy classes by
+``conjugate_by`` flood fill, regular Cayley graphs and the left action
+element by element, and jump equivalence by the unmemoised pattern loop
+with a quadratic witness search.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from covspec.graphs import ColoredGraph, Edge
-from covspec.groups import Permutation
+from covspec.graphs import ColoredGraph, Edge, cayley_graph
+from covspec.groups import CapExceededError, Permutation
 from covspec.metric import CyclicWord, MetricGraph, reduce_dart_path
 
 
@@ -167,15 +169,55 @@ def schreier_by_cosets(G, H, gens) -> ColoredGraph:
     edge (H*g, s) runs to the coset of (least element)*s.  Edge ids are
     color-major, vertex-minor, as in covspec's Cayley graphs.
     """
-    cosets = {frozenset(G.index[G.elements[h] * g] for h in H.members) for g in G.elements}
+    cosets = {
+        frozenset(G.index[(G.elements[h] * g).images] for h in H.members) for g in G.elements
+    }
     cosets = sorted(cosets, key=min)
     vertex = {i: k for k, coset in enumerate(cosets) for i in coset}
     edges = []
     for color, s in gens:
         for k, coset in enumerate(cosets):
-            target = vertex[G.index[G.elements[min(coset)] * s]]
+            target = vertex[G.index[(G.elements[min(coset)] * s).images]]
             edges.append(Edge(len(edges), k, target, color))
     return ColoredGraph([f"H*g{min(c)}" for c in cosets], edges, [c for c, _ in gens])
+
+
+def closure_by_permutations(generators, cap: int) -> list[Permutation]:
+    """Elements of <generators> in breadth-first order from the identity,
+    by Permutation products; CapExceededError once more than cap are found."""
+    ident = Permutation.identity(generators[0].degree)
+    elements = [ident]
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in generators:
+                h = g * s
+                if h not in seen:
+                    seen.add(h)
+                    elements.append(h)
+                    nxt.append(h)
+                    if len(elements) > cap:
+                        raise CapExceededError(f"group order exceeds cap {cap}")
+        frontier = nxt
+    return elements
+
+
+def regular_cayley_by_products(G, gens) -> ColoredGraph:
+    """G acting on itself on the right: edge (g_i, s) runs to g_i * s."""
+    perms = [
+        (color, Permutation([G.index[(g * s).images] for g in G.elements]))
+        for color, s in gens
+    ]
+    return cayley_graph(perms, [f"g{i}" for i in range(G.order)])
+
+
+def left_action_by_products(G) -> list[Permutation]:
+    """G acting on its own elements on the left: g sends g_i to g * g_i."""
+    return [
+        Permutation([G.index[(g * x).images] for x in G.elements]) for g in G.elements
+    ]
 
 
 def subgroup_by_closure(G, gens) -> frozenset[int]:
@@ -195,7 +237,7 @@ def subgroup_by_closure(G, gens) -> frozenset[int]:
                     seen.add(h)
                     nxt.append(h)
         frontier = nxt
-    return frozenset(G.index[g] for g in seen)
+    return frozenset(G.index[g.images] for g in seen)
 
 
 def classes_by_conjugation(G) -> list[tuple[int, ...]]:
@@ -214,8 +256,8 @@ def classes_by_conjugation(G) -> list[tuple[int, ...]]:
             for x in frontier:
                 for s in conjugators:
                     y = x.conjugate_by(s)
-                    if G.index[y] not in orbit:
-                        orbit.add(G.index[y])
+                    if G.index[y.images] not in orbit:
+                        orbit.add(G.index[y.images])
                         nxt.append(y)
             frontier = nxt
         seen |= orbit

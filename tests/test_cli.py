@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 
-from covspec import ColoredGraph, Edge, graph_to_json
+import pytest
+
+from covspec import ColoredGraph, Edge, cli, graph_to_json
 from covspec.cli import main
 
 
@@ -264,3 +266,39 @@ class TestExportDot:
     def test_needs_a_source(self, capsys):
         code, _, _ = run_cli(capsys, "export-dot")
         assert code == 3
+
+
+def _bad_input_files(tmp_path):
+    (tmp_path / "g.txt").write_text("1 0 2\n1 2 0\n")
+    (tmp_path / "h.txt").write_text("1 0 2\n")
+    path = wedge_json(tmp_path, "list_lengths.json")
+    doc = json.loads(path.read_text())
+    doc["lengths"] = [1]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["covspec", "--input", "missing.json"],
+        ["covspec", "--input", "list_lengths.json"],
+        ["export-dot", "--input", "missing.json"],
+        ["export-dot", "--input", "list_lengths.json"],
+        ["export-dot", "--fano", "points", "--output", "no/dir/x.dot"],
+        ["triple", "--group", "missing.txt", "--h1", "h.txt", "--h2", "h.txt"],
+        ["triple", "--group", "g.txt", "--h1", "missing.txt", "--h2", "h.txt"],
+        ["triple", "--group", "g.txt"],
+    ],
+)
+def test_bad_input_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    _bad_input_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a group was closed before its inputs were checked")
+
+    monkeypatch.setattr(cli, "closure", no_closure)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -131,7 +131,7 @@ class TestSchreier:
             if G.order == fano.group.order:
                 break
         point, line = rng.randrange(7), rng.randrange(7)
-        line_of = [fano.line_action_of[fano.group.index[g]] for g in G.elements]
+        line_of = [fano.line_action_of[fano.group.index[g.images]] for g in G.elements]
         subgroups = [
             subgroup_generated(G, []),
             subgroup_generated(G, [a, b]),

@@ -15,14 +15,23 @@ from covspec import (
     stabilizer,
     subgroup_generated,
 )
+from covspec.graphs import left_action_permutations, regular_cayley_graph
 from covspec.groups import (
     FANO_MATRIX_A,
     FANO_MATRIX_B,
+    Subgroup,
     _matrix_line_perm,
     _matrix_point_perm,
 )
 
-from oracles import classes_by_conjugation, jump_equivalence_by_patterns, subgroup_by_closure
+from oracles import (
+    classes_by_conjugation,
+    closure_by_permutations,
+    jump_equivalence_by_patterns,
+    left_action_by_products,
+    regular_cayley_by_products,
+    subgroup_by_closure,
+)
 
 
 def cycle_map(perm, labels):
@@ -339,6 +348,78 @@ class TestIndexSpaceAgainstOracles:
             gens2 = rng.sample(G.elements, rng.randint(0, 2))
         H2 = subgroup_generated(G, gens2)
         self.check(G, [gens1, gens2, gens1 + gens2], [(H1, H2)])
+
+
+def _seeded_generators(seed):
+    """Seeds 0-7: two or three random permutations of degree 3, 4, 5, 6 in
+    turn; seeds 8-10: a random generating pair of GL(3,2) on 14 points."""
+    rng = random.Random(seed)
+    if seed >= 8:
+        return _gl32_on_points_and_lines(rng).generators
+    n = 3 + seed % 4
+    return [Permutation(rng.sample(range(n), n)) for _ in range(rng.randint(2, 3))]
+
+
+class TestProductRuleAgainstOracles:
+    """closure, the Subgroup helpers and the group graphs match
+    Permutation-product references from tests/oracles.py."""
+
+    @pytest.mark.parametrize("seed", range(11))
+    def test_closure_order_and_cap(self, seed):
+        gens = _seeded_generators(seed)
+        G = closure(gens)
+        assert G.elements == closure_by_permutations(gens, cap=G.order)
+        closure(gens, cap=G.order)
+        for k in (G.order - 1, G.order // 2):
+            with pytest.raises(CapExceededError):
+                closure_by_permutations(gens, cap=k)
+            with pytest.raises(CapExceededError, match=f"exceeds cap {k}$"):
+                closure(gens, cap=k)
+
+    @pytest.mark.parametrize("seed", range(11))
+    def test_subgroup_helpers(self, seed):
+        rng = random.Random(100 + seed)
+        G = closure(_seeded_generators(seed))
+        for _ in range(4):
+            H = subgroup_generated(G, rng.sample(G.elements, rng.randint(1, 2)))
+            assert H.is_closed()
+            g = rng.choice(G.elements)
+            expected = frozenset(G.index[G.elements[i].conjugate_by(g).images] for i in H.members)
+            assert H.conjugated_by(g).members == expected
+            # a random member set of a size that divides |G| is closed
+            # exactly when it generates itself
+            size = rng.choice([d for d in range(2, G.order + 1) if G.order % d == 0])
+            members = frozenset([0, *rng.sample(range(1, G.order), size - 1)])
+            elements = [G.elements[i] for i in members]
+            assert Subgroup(G, members).is_closed() == (subgroup_by_closure(G, elements) == members)
+
+    def test_non_closed_member_sets(self):
+        G = closure([Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])])
+
+        def idx(*images):
+            return G.index[tuple(images)]
+
+        # {e, (0 1), (0 2)} holds every inverse but not (0 1)(0 2)
+        assert not Subgroup(G, frozenset({0, idx(1, 0, 2, 3), idx(2, 1, 0, 3)})).is_closed()
+        # {e, (0 1 2)} misses its inverse and its square
+        assert not Subgroup(G, frozenset({0, idx(1, 2, 0, 3)})).is_closed()
+        assert Subgroup(G, frozenset({0, idx(1, 0, 2, 3)})).is_closed()
+
+    def test_conjugated_by_takes_the_conjugator_on_the_right(self):
+        G = s3()
+        H = subgroup_generated(G, [Permutation([1, 0, 2])])
+        g = Permutation([1, 2, 0])
+        # g^-1 (0 1) g = (1 2) under apply-then composition
+        assert H.conjugated_by(g).members == {0, G.index[(0, 2, 1)]}
+
+    @pytest.mark.parametrize("seed", range(11))
+    def test_group_graphs(self, seed):
+        rng = random.Random(200 + seed)
+        G = closure(_seeded_generators(seed))
+        gens = [("A", G.generators[0]), ("B", rng.choice(G.elements))]
+        assert regular_cayley_graph(G, gens) == regular_cayley_by_products(G, gens)
+        if G.order <= 168:  # 720 x 720 products would only slow the suite
+            assert left_action_permutations(G) == left_action_by_products(G)
 
 
 class TestGeneratorFiles:

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from covspec import (
-    Budgets,
     MembershipCertificate,
     abelian_nonmember,
     canonical_cyclic_word,
@@ -258,7 +257,7 @@ class TestDecideMembership:
     def test_undecided_reported_honestly(self):
         # is [y,z] in <<x>>? it is not, but no tier can see that
         target = (2, 3, -2, -3)
-        cert = decide_membership([(1,)], target, rank=3, budgets=Budgets(coset_cap=100))
+        cert = decide_membership([(1,)], target, rank=3, coset_cap=100)
         assert cert.verdict == "undecided"
         assert cert.evidence["budgets"]["coset_cap"] == 100
         assert verify_certificate(cert, [(1,)], target, 3)
@@ -305,9 +304,9 @@ class TestOracleProperties:
             target = cyclic_reduce(
                 tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(1, 5)))
             )
-            before = decide_membership(rels, target, rank=2, budgets=Budgets(coset_cap=2000))
+            before = decide_membership(rels, target, rank=2, coset_cap=2000)
             after = decide_membership(
-                rels + extra, target, rank=2, budgets=Budgets(coset_cap=2000)
+                rels + extra, target, rank=2, coset_cap=2000
             )
             if before.verdict == "member":
                 assert after.verdict != "non_member"
@@ -319,7 +318,7 @@ class TestOracleProperties:
             target = cyclic_reduce(
                 tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(1, 6)))
             )
-            cert = decide_membership(rels, target, rank=2, budgets=Budgets(coset_cap=2000))
+            cert = decide_membership(rels, target, rank=2, coset_cap=2000)
             assert verify_certificate(cert, rels, target, 2)
 
 
