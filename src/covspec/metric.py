@@ -135,6 +135,8 @@ class MetricGraph:
         root: int = 0,
     ):
         self.graph = graph
+        if graph.vertex_count == 0:
+            raise ValueError("graph has no vertices")
         if isinstance(lengths, dict):
             missing = [c for c in graph.colors if c not in lengths]
             if missing:
@@ -150,8 +152,6 @@ class MetricGraph:
             self.color_lengths = None
         if any(q <= 0 for q in per_edge):
             raise ValueError("edge lengths must be positive")
-        if not graph.is_connected():
-            raise ValueError("graph must be connected")
         self.edge_lengths = per_edge
         self.root = root
 
@@ -175,7 +175,7 @@ class MetricGraph:
                         nxt.append(w)
             frontier = nxt
         if len(parent) != n:
-            raise AssertionError("spanning tree does not reach every vertex")
+            raise ValueError("graph must be connected")
         self.spanning_tree = frozenset(tree)
         self._parent = parent
         self.free_generators = [e.id for e in graph.edges if e.id not in tree]

@@ -14,6 +14,7 @@ undecided oracle aborts the run rather than guessing.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, takewhile
@@ -269,7 +270,9 @@ def covering_spectrum(
     oracle = _NormalClosureOracle(X, report)
     classes = takewhile(lambda c: c.length <= budget, iter_classes(X))
     jumps, _, report.processed_to = jump_set(((c.length, c) for c in classes), oracle)
-    if not oracle.saturated():
+    # jump_set asked saturated() at the last level walked, and a False
+    # there left some generator uncertified
+    if any(cert is None for cert in oracle._gen_certified):
         raise BudgetExhaustedError(f"no saturation up to the budget {budget}")
     report.termination = oracle.finalize_termination()
     # a level's querying stops at its first non-member, so the non-member
@@ -323,9 +326,9 @@ class LatticeSpectrum:
 
 
 class _SublatticeOracle:
-    def __init__(self, n: int, full_rows: Sequence[Sequence[int]]):
+    def __init__(self, n: int):
         self.lattice = IntLattice(n)
-        self.full_rows = [list(r) for r in full_rows]
+        self.unit_rows = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def contains(self, coeffs) -> bool:
         return self.lattice.contains(coeffs)
@@ -334,7 +337,7 @@ class _SublatticeOracle:
         self.lattice.add(coeffs)
 
     def saturated(self) -> bool:
-        return self.lattice.contains_all(self.full_rows)
+        return self.lattice.contains_all(self.unit_rows)
 
 
 def covering_spectrum_lattice(basis: Sequence[Sequence[Fraction | int]]) -> LatticeSpectrum:
@@ -343,7 +346,10 @@ def covering_spectrum_lattice(basis: Sequence[Sequence[Fraction | int]]) -> Latt
     The marked length of a deck transformation is the Euclidean norm of
     its lattice vector, so jumps live at realized norms and the subgroup
     filtration is plain sublattice generation, decided exactly in integer
-    coordinates.  All arithmetic is on squared norms in Q.
+    coordinates.  Lattice vectors come from one lazy stream in
+    nondecreasing norm, which ``jump_set`` stops once the vectors seen
+    generate the whole lattice, as the graph driver stops its class
+    stream.  All arithmetic is on squared norms in Q.
     """
     n = len(basis)
     rows = [[Fraction(x) for x in row] for row in basis]
@@ -351,67 +357,57 @@ def covering_spectrum_lattice(basis: Sequence[Sequence[Fraction | int]]) -> Latt
         raise ValueError("basis must be square")
     scale = lcm(*(x.denominator for row in rows for x in row))
     M = [[int(x * scale) for x in row] for row in rows]
-    check = IntLattice(n)
-    for row in M:
-        check.add(row)
-    if check.rank() != n:
-        raise ValueError("basis is singular")
-
-    # saturation bound: the basis rows themselves generate, so no jump can
-    # exceed the largest row norm
-    def norm2_scaled(coeffs: Sequence[int]) -> int:
-        v = [sum(c * M[i][j] for i, c in enumerate(coeffs)) for j in range(n)]
-        return sum(x * x for x in v)
-
-    unit = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    threshold = max(norm2_scaled(u) for u in unit)
-
-    # box bound via the inverse matrix: |c_i| <= |v| * |column i of M^-1|
-    Minv = _invert_fraction_matrix([[Fraction(x) for x in row] for row in M])
-    bounds = []
-    for i in range(n):
-        colnorm2 = sum(Minv[k][i] * Minv[k][i] for k in range(n))
-        b2 = Fraction(threshold) * colnorm2
-        bounds.append(isqrt(b2.numerator // b2.denominator) + 1)
-
-    items = []
-    for coeffs in _integer_box(bounds):
-        if not any(coeffs):
-            continue
-        q = norm2_scaled(coeffs)
-        if q <= threshold:
-            items.append((Fraction(q), list(coeffs)))
-    items.sort(key=lambda t: (t[0], t[1]))
-    oracle = _SublatticeOracle(n, unit)
-    jumps_scaled, _, _ = jump_set(items, oracle)
-    if not oracle.saturated():
-        raise AssertionError("enumeration box missed a generating set")
+    jumps_scaled, _, _ = jump_set(_lattice_vectors(M), _SublatticeOracle(n))
     s2 = Fraction(scale) ** 2
     jumps_squared = tuple(q / s2 for q in jumps_scaled)
     return LatticeSpectrum(jumps_squared, tuple(q / 4 for q in jumps_squared))
 
 
-def _integer_box(bounds: Sequence[int]):
-    if not bounds:
-        yield ()
-        return
-    for rest in _integer_box(bounds[1:]):
-        for c in range(-bounds[0], bounds[0] + 1):
-            yield (c,) + rest
+def _lattice_vectors(M: Sequence[Sequence[int]]):
+    """Every nonzero c in Z^n as (|c.M|^2, c), in nondecreasing norm; never ends.
 
-
-def _invert_fraction_matrix(M: list[list[Fraction]]) -> list[list[Fraction]]:
+    Best-first Fincke-Pohst.  With the exact Gram-Schmidt norms B and
+    coefficients mu of the rows of M, |c.M|^2 = sum_i B_i (c_i - x_i)^2,
+    where the centre x_i = -sum_{j>i} mu_ji c_j depends only on later
+    coefficients.  A heap node fixes c_i..c_{n-1} and is keyed by the
+    sum of their terms, which never falls as more coefficients are
+    fixed.  A popped node pushes its nearest child and its next sibling
+    outward from the centre (the nearest value pushes both neighbours),
+    so every node is pushed by one with no larger key, and complete
+    vectors pop in norm order.
+    """
     n = len(M)
-    aug = [row[:] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(M)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
+    star: list[list[Fraction]] = []
+    B: list[Fraction] = []
+    mu: dict[tuple[int, int], Fraction] = {}
+    for i, row in enumerate(M):
+        v = [Fraction(x) for x in row]
+        for j in range(i):
+            mu[i, j] = sum(a * b for a, b in zip(row, star[j])) / B[j]
+            v = [a - mu[i, j] * b for a, b in zip(v, star[j])]
+        B.append(sum(a * a for a in v))
+        if B[i] == 0:
             raise ValueError("basis is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+        star.append(v)
+
+    # a node: (key, (c_i, ..., c_{n-1}), its parent's key, centre x_i, the
+    # direction c_i last stepped in, 0 for the nearest value)
+    def push(base, fixed, x, c, step):
+        i = n - 1 - len(fixed)
+        heapq.heappush(heap, (base + B[i] * (c - x) ** 2, (c,) + fixed, base, x, step))
+
+    heap: list = []
+    push(Fraction(0), (), Fraction(0), 0, 0)
+    while True:
+        norm, coeffs, base, x, step = heapq.heappop(heap)
+        c, fixed = coeffs[0], coeffs[1:]
+        if step >= 0:
+            push(base, fixed, x, c + 1, 1)
+        if step <= 0:
+            push(base, fixed, x, c - 1, -1)
+        i = n - len(coeffs)
+        if i:
+            centre = -sum(mu[j, i - 1] * cj for j, cj in enumerate(coeffs, start=i))
+            push(norm, coeffs, centre, round(centre), 0)
+        elif any(coeffs):
+            yield norm, list(coeffs)

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's search strategies: class
 enumeration walks ALL closed walks (backtracking allowed) and reduces
-them, the lattice jump scan recomputes an echelon form from scratch at
-every membership query, and the coset graph forms the coset of every
+them, lattice vectors are listed by scanning a whole coefficient box,
+the lattice jump scan recomputes an echelon form from scratch at every
+membership query, and the coset graph forms the coset of every
 group element on its own instead of one pass of left orbits.  The group
 oracles keep the group layer's first, index-free paths, multiplying with
 ``Permutation`` products: closure and generated subgroups by
@@ -16,6 +17,7 @@ with a quadratic witness search.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from covspec.graphs import ColoredGraph, Edge, cayley_graph
 from covspec.groups import CapExceededError, Permutation
@@ -72,7 +74,7 @@ def _echelon(rows: list[list[int]]) -> list[list[int]]:
                     r[k] -= q * pivot[k]
                 if r[col] != 0:
                     done = False
-            pool = [pivot] + [r for r in pool[1:] if any(r)]
+            pool = [pivot] + [r for r in pool[1:] if r[col] != 0]
             if done or len(pool) == 1:
                 break
         if pivot[col] < 0:
@@ -107,28 +109,38 @@ def _in_span(rows: list[list[int]], vec: list[int]) -> bool:
     return not any(v)
 
 
-def lattice_jump_scan(basis: list[list[int]], norm_bound_sq: int) -> list[int]:
-    """Jump squared-norms of the lattice, by exhaustive scan up to the bound."""
-    n = len(basis)
-    # coefficient box: |c_i| <= sqrt(bound) * max column norm of the inverse;
-    # a crude but safe integer bound via adjugate / determinant
-    det = _det(basis)
-    assert det != 0
-    bound = 1
-    while bound * bound <= norm_bound_sq:
-        bound += 1
-    adj_max = max(abs(x) for row in _adjugate(basis) for x in row)
-    cmax = bound * n * adj_max // abs(det) + 1
-    vectors: dict[int, list[list[int]]] = {}
+def lattice_vectors_by_box(basis: list[list[int]], norm_bound_sq: int) -> list:
+    """Every nonzero (|c.basis|^2, c) with squared norm within the bound, sorted.
+
+    Scans a whole coefficient box: c = v.basis^-1, so |c_i| is at most
+    |v| times the norm of column i of the inverse, adj / det.
+    """
     from itertools import product
 
-    for cs in product(range(-cmax, cmax + 1), repeat=n):
+    n = len(basis)
+    d = det(basis)
+    assert d != 0
+    adj = _adjugate(basis)
+    cmax = [isqrt(norm_bound_sq * sum(adj[k][i] ** 2 for k in range(n)) // (d * d)) + 1
+            for i in range(n)]
+    found = []
+    for cs in product(*(range(-b, b + 1) for b in cmax)):
         if not any(cs):
             continue
         v = [sum(c * basis[i][k] for i, c in enumerate(cs)) for k in range(n)]
         q = sum(x * x for x in v)
         if q <= norm_bound_sq:
-            vectors.setdefault(q, []).append(v)
+            found.append((q, cs))
+    return sorted(found)
+
+
+def lattice_jump_scan(basis: list[list[int]], norm_bound_sq: int) -> list[int]:
+    """Jump squared-norms of the lattice, by exhaustive scan up to the bound."""
+    n = len(basis)
+    vectors: dict[int, list[list[int]]] = {}
+    for q, cs in lattice_vectors_by_box(basis, norm_bound_sq):
+        v = [sum(c * basis[i][k] for i, c in enumerate(cs)) for k in range(n)]
+        vectors.setdefault(q, []).append(v)
     jumps = []
     added: list[list[int]] = []
     for q in sorted(vectors):
@@ -139,14 +151,14 @@ def lattice_jump_scan(basis: list[list[int]], norm_bound_sq: int) -> list[int]:
     return jumps
 
 
-def _det(M: list[list[int]]) -> int:
+def det(M: list[list[int]]) -> int:
     n = len(M)
     if n == 1:
         return M[0][0]
     out = 0
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in M[1:]]
-        out += (-1) ** j * M[0][j] * _det(minor)
+        out += (-1) ** j * M[0][j] * det(minor)
     return out
 
 
@@ -158,7 +170,7 @@ def _adjugate(M: list[list[int]]) -> list[list[int]]:
     for i in range(n):
         for j in range(n):
             minor = [row[:j] + row[j + 1:] for k, row in enumerate(M) if k != i]
-            out[j][i] = (-1) ** (i + j) * _det(minor)
+            out[j][i] = (-1) ** (i + j) * det(minor)
     return out
 
 

@@ -275,6 +275,7 @@ def _bad_input_files(tmp_path):
     doc = json.loads(path.read_text())
     doc["lengths"] = [1]
     path.write_text(json.dumps(doc))
+    (tmp_path / "empty.json").write_text('{"vertices": [], "edges": [], "lengths": {}}')
 
 
 @pytest.mark.parametrize(
@@ -288,6 +289,7 @@ def _bad_input_files(tmp_path):
         ["triple", "--group", "missing.txt", "--h1", "h.txt", "--h2", "h.txt"],
         ["triple", "--group", "g.txt", "--h1", "missing.txt", "--h2", "h.txt"],
         ["triple", "--group", "g.txt"],
+        ["covspec", "--input", "empty.json"],
     ],
 )
 def test_bad_input_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, argv):

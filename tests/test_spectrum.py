@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from covspec import (
     ColoredGraph,
@@ -15,9 +19,9 @@ from covspec import (
     jump_set,
     length_spectrum_containment,
 )
-from covspec.spectrum import BudgetExhaustedError, UndecidedOracleError
+from covspec.spectrum import BudgetExhaustedError, UndecidedOracleError, _lattice_vectors
 
-from oracles import lattice_jump_scan
+from oracles import det, lattice_jump_scan, lattice_vectors_by_box
 
 LA, LB = Fraction(2), Fraction(5, 2)
 
@@ -249,3 +253,65 @@ class TestLatticeSpectra:
         a = covering_spectrum_lattice([[2, 0], [0, 3]])
         b = covering_spectrum_lattice([[4, 0], [0, 6]])
         assert [4 * q for q in a.values_squared] == list(b.values_squared)
+
+
+def _seeded_integer_bases():
+    """Nonsingular integer bases of dimension 1-4; those of dimension 2 and 3
+    are skewed (row 1 += k * row 0), which puts the Gram-Schmidt centres
+    far from 0.  A skewed 4-dim basis has too many short vectors for the
+    brute-force box."""
+    rng = random.Random(10)
+    bases = []
+    while len(bases) < 24:
+        n = 1 + len(bases) % 4
+        M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if n in (2, 3):
+            k = rng.randint(3, 9)
+            M[1] = [a + k * b for a, b in zip(M[1], M[0])]
+        if det(M) != 0:
+            bases.append(M)
+    return bases
+
+
+class TestLatticeStream:
+    @pytest.mark.parametrize("M", _seeded_integer_bases(), ids=str)
+    def test_prefix_matches_box_listing(self, M):
+        bound = max(sum(x * x for x in row) for row in M)
+        prefix = [(q, tuple(c)) for q, c in
+                  takewhile(lambda item: item[0] <= bound, _lattice_vectors(M))]
+        norms = [q for q, _ in prefix]
+        assert norms == sorted(norms)
+        assert all(any(c) for _, c in prefix)
+        assert len(set(prefix)) == len(prefix)
+        assert sorted(prefix) == lattice_vectors_by_box(M, bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_random_bases_against_scan(self, M):
+        assume(det(M) != 0)
+        bound = max(sum(x * x for x in row) for row in M)
+        spec = covering_spectrum_lattice(M)
+        assert list(spec.jumps_squared) == [Fraction(q) for q in lattice_jump_scan(M, bound)]
+
+    @pytest.mark.parametrize(
+        "basis, expected",
+        [
+            (  # pool instance 116
+                "4/3 -1 5 -3/2; 2 -1/2 2 4; 2 0 0 -5/3; 3 1/2 -1 3/2",
+                ["sqrt(67/72)", "sqrt(161/144)", "sqrt(229/144)", "sqrt(61/36)"],
+            ),
+            (  # pool instance 27
+                "2/3 -1/2 -2 -2; 3/2 -1/2 1 -2; 2 5/3 5 2; 1/3 -5/3 1 -5/3",
+                ["sqrt(5/36)", "sqrt(37/72)", "sqrt(59/36)", "sqrt(305/144)"],
+            ),
+            (  # pool instance 199
+                "1/2 5/3 -1; 2/3 3/2 -1; 2 3/2 -5/3",
+                ["sqrt(1/72)", "sqrt(5/144)"],
+            ),
+        ],
+    )
+    def test_heavy_pool_bases(self, basis, expected):
+        rows = [[Fraction(x) for x in row.split()] for row in basis.split(";")]
+        assert covering_spectrum_lattice(rows).display() == expected

@@ -2,8 +2,9 @@
 
 bench/tracing.py wraps covspec functions in the namespaces of the modules
 that call them; a refactor that unbinds one of those names breaks the
-traced benchmark.  The traced calls run the spectrum driver and then the
-group and graph layers in the order a Gassmann-Sunada triple uses them.
+traced benchmark.  The traced calls run the spectrum driver, the
+flat-torus spectrum, and then the group and graph layers in the order a
+Gassmann-Sunada triple uses them.
 The check runs in a fresh interpreter so that the tracer meets a freshly
 imported package and cannot leave it patched.
 """
@@ -44,6 +45,8 @@ try:
     spectrum, report = cv.spectrum.covering_spectrum(X)
     assert spectrum.as_strings() == ["1/1", "3/2"]
     assert report.verify_all_certificates(X)
+    torus = cv.spectrum.covering_spectrum_lattice([[2, 0], [0, 3]])
+    assert torus.display() == ["1/1", "3/2"]
     # the group and graph layers, as a Gassmann-Sunada triple is checked
     gens = list(covspec.fano_actions().point_perms.items())
     G = cv.groups.closure([p for _, p in gens])
@@ -54,8 +57,8 @@ try:
 finally:
     tracer.uninstall()
 names = {span[0] for span in tracer.spans}
-for name in ("spectrum.covering_spectrum", "spectrum.jump_set", "words.decide",
-             "words.replay", "groups.closure", "graphs.schreier_graph",
+for name in ("spectrum.covering_spectrum", "spectrum.jump_set", "spectrum.lattice",
+             "words.decide", "words.replay", "groups.closure", "graphs.schreier_graph",
              "groups.subgroup_generated", "groups.jump_equivalent"):
     if name not in names:
         sys.exit(f"no span {name}")
