@@ -310,17 +310,24 @@ def graph_to_json(graph: ColoredGraph, lengths: dict[str, object] | None = None)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _json_int(value) -> int:
+    # bool is an int subclass, and int() would truncate 0.5 to 0
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def graph_from_json(text: str) -> tuple[ColoredGraph, dict[str, str] | None]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
     try:
+        if not (isinstance(doc["vertices"], list) and isinstance(doc["edges"], list)):
+            raise TypeError('"vertices" and "edges" must be lists')
         vertices = [str(v) for v in doc["vertices"]]
-        edges = [
-            Edge(int(e["id"]), int(e["from"]), int(e["to"]), str(e["color"]))
-            for e in doc["edges"]
-        ]
+        edges = [Edge(*(_json_int(e[k]) for k in ("id", "from", "to")), str(e["color"]))
+                 for e in doc["edges"]]
         colors = doc.get("colors")
         if colors is None:
             seen = []

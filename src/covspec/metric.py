@@ -156,6 +156,8 @@ class MetricGraph:
         self.root = root
 
         n = graph.vertex_count
+        if root not in range(n):
+            raise ValueError(f"root {root!r} is not a vertex of the graph")
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
         for e in graph.edges:
             adj[e.origin].append((e.id, e.target))

@@ -37,6 +37,7 @@ from .words import (
     NON_MEMBER,
     UNDECIDED,
     MembershipCertificate,
+    Presentation,
     decide_membership,
     syntactic_member,
     todd_coxeter,
@@ -149,24 +150,20 @@ class FiltrationReport:
         return [j.value for j in self.jumps]
 
     def verify_all_certificates(self, X: MetricGraph) -> bool:
-        """Replay every emitted certificate with the independent checker."""
+        """Replay every emitted certificate with the checker's own presentation."""
         from .words import verify_certificate
 
-        for q in self.queries:
-            k = q.relator_count
-            ok = verify_certificate(
-                q.certificate,
-                self.relator_words[:k],
-                q.word,
-                X.rank,
-                graph=X,
-                relator_loops=self.relator_loops[:k],
-                target_loop=q.target_loop,
-            )
-            if not ok:
-                return False
-        for word, cert in self.termination_queries:
-            if not verify_certificate(cert, self.relator_words, word, X.rank):
+        checks = [(q.relator_count, q.word, q.target_loop, q.certificate) for q in self.queries]
+        checks += [(len(self.relator_words), w, None, c) for w, c in self.termination_queries]
+        pres, grown = Presentation(X.rank), 0
+        for k, word, loop, cert in checks:
+            if k < grown:
+                pres, grown = Presentation(X.rank), 0
+            for rel in self.relator_words[grown:k]:
+                pres.add(rel)
+            grown = k
+            if not verify_certificate(cert, pres, word, X.rank, graph=X,
+                                      relator_loops=self.relator_loops[:k], target_loop=loop):
                 return False
         return True
 
@@ -179,6 +176,7 @@ class _NormalClosureOracle:
         self.report = report
         self.relators = report.relator_words
         self.loops = report.relator_loops
+        self.presentation = Presentation(X.rank)
         self._gen_certified: list[MembershipCertificate | None] = [None] * X.rank
         self._mode = "generators_certified"
 
@@ -186,7 +184,7 @@ class _NormalClosureOracle:
         word = loop_to_free_word(self.X, cls.word)
         count = len(self.relators)
         cert = decide_membership(
-            self.relators,
+            self.presentation,
             word,
             self.X.rank,
             graph=self.X,
@@ -201,6 +199,7 @@ class _NormalClosureOracle:
 
     def add(self, cls: MarkedClass) -> None:
         self.relators.append(loop_to_free_word(self.X, cls.word))
+        self.presentation.add(self.relators[-1])
         self.loops.append(cls.word)
         self.report.classes.append(cls)
 
@@ -209,15 +208,21 @@ class _NormalClosureOracle:
         rank = self.X.rank
         if rank == 0:
             return True
+        lattice = self.presentation.lattice
+        # a generator outside the relator lattice is outside the closure, so
+        # neither a syntactic witness nor a complete table can certify it
+        inside = [lattice.contains([int(i == g) for i in range(rank)]) for g in range(rank)]
         for g in range(rank):
-            if self._gen_certified[g] is None:
-                cert = syntactic_member(self.relators, (g + 1,))
+            if self._gen_certified[g] is None and inside[g]:
+                cert = syntactic_member(self.presentation, (g + 1,))
                 if cert is not None:
                     self._gen_certified[g] = cert
         if all(c is not None for c in self._gen_certified):
             return True
+        if not all(inside):
+            return False
         # one bounded enumeration can settle all generators at once
-        table = todd_coxeter(self.relators, rank, cap=3000)
+        table = todd_coxeter(self.presentation.relators, rank, cap=3000)
         if table.complete and all(table.trace((g + 1,)) == 0 for g in range(rank)):
             for g in range(rank):
                 self._gen_certified[g] = MembershipCertificate(

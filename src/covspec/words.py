@@ -103,25 +103,57 @@ def _strip_to_cyclic(word: FreeWord) -> tuple[FreeWord, FreeWord]:
     return tuple(w), tuple(prefix)
 
 
-def _relator_forms(relators: Sequence[FreeWord]):
-    forms = []
-    seen = set()
-    for j, rel in enumerate(relators):
+class Presentation:
+    """Append-only relators of F_rank and what the tiers read of them: the
+    reduced nonempty ``relators`` (certificates index these), ``forms``
+    (f, conj, j, exp), one per distinct rotation f of a relator's cyclic
+    core or its inverse, with f == conj * relators[j]^exp * conj^-1,
+    ``form_index`` from f to its position, the exponent vectors'
+    ``lattice``, and the last coset table."""
+
+    def __init__(self, rank: int, relators: Sequence[Sequence[int]] = ()):
+        self.rank = rank
+        self.relators: list[FreeWord] = []
+        self.forms: list[tuple[FreeWord, FreeWord, int, int]] = []
+        self.form_index: dict[FreeWord, int] = {}
+        self.lattice = IntLattice(rank) if rank else None
+        self._table = (None, None)
+        for rel in relators:
+            self.add(rel)
+
+    def add(self, relator: Sequence[int]) -> None:
+        rel = free_reduce(relator)
+        if not rel:
+            return
+        j = len(self.relators)
+        self.relators.append(rel)
+        if self.lattice is not None:
+            self.lattice.add(exponent_vector(rel, self.rank))
         core, pref = _strip_to_cyclic(rel)
-        if not core:
-            continue
+        # rotations by i and by i + p coincide for the least period p
+        p = next(p for p in range(1, len(core) + 1) if core[p:] + core[:p] == core)
         for base, exp in ((core, 1), (word_inverse(core), -1)):
-            for i in range(len(base)):
+            for i in range(p):
                 f = base[i:] + base[:i]
-                if f in seen:
-                    continue
-                seen.add(f)
-                # f == conj * rel^exp * conj^-1 with conj = (pref * base[:i])^-1,
-                # since core == pref^-1 * rel * pref and a rotation conjugates
-                # by the rotated-away prefix
-                conj = free_reduce(word_inverse(tuple(pref) + base[:i]))
-                forms.append((f, conj, j, exp))
-    return forms
+                if f not in self.form_index:
+                    self.form_index[f] = len(self.forms)
+                    # f == conj * rel^exp * conj^-1 with conj = (pref * base[:i])^-1,
+                    # since core == pref^-1 * rel * pref and a rotation conjugates
+                    # by the rotated-away prefix
+                    conj = free_reduce(word_inverse(pref + base[:i]))
+                    self.forms.append((f, conj, j, exp))
+
+    def coset_table(self, cap: int) -> "CosetTable":
+        """The Todd-Coxeter table at ``cap``, kept until the relators or cap change."""
+        key = (len(self.relators), cap)
+        if self._table[0] != key:
+            self._table = None  # drop the old table before building the next
+            self._table = key, todd_coxeter(self.relators, self.rank, cap)
+        return self._table[1]
+
+
+def _presentation(relators, rank: int = 0) -> Presentation:
+    return relators if isinstance(relators, Presentation) else Presentation(rank, relators)
 
 
 def _term_word(relators, conj, j, exp) -> FreeWord:
@@ -131,7 +163,7 @@ def _term_word(relators, conj, j, exp) -> FreeWord:
 
 
 def syntactic_member(
-    relators: Sequence[FreeWord],
+    relators: Presentation | Sequence[FreeWord],
     target: Sequence[int],
 ) -> MembershipCertificate | None:
     """Member certificates from rotations, powers, and shortening products.
@@ -142,11 +174,12 @@ def syntactic_member(
     ``SYNTACTIC_TERMS`` deep.  Sound by construction: the witness
     expression multiplies out to the target.
     """
+    pres = _presentation(relators)
+    relators, forms = pres.relators, pres.forms
     target = free_reduce(target)
     if not target:
         return MembershipCertificate(MEMBER, "syntactic", {"expression": []})
     core, wrap = _strip_to_cyclic(target)
-    forms = _relator_forms(relators)
     if not forms:
         return None
 
@@ -159,15 +192,16 @@ def syntactic_member(
                 return _syntactic_cert(relators, target, expr)
 
     # products of two rotated relators, which the shrinking peel below can
-    # miss when the partial product does not get shorter
+    # miss; forms are reduced and distinct, so only f2 == f1^-1 * core fits
     for f1, c1, j1, e1 in forms:
-        for f2, c2, j2, e2 in forms:
-            if free_reduce(f1 + f2) == core:
-                expr = [
-                    [list(wrap) + list(c1), j1, e1],
-                    [list(wrap) + list(c2), j2, e2],
-                ]
-                return _syntactic_cert(relators, target, expr)
+        k = pres.form_index.get(free_reduce(word_inverse(f1) + core))
+        if k is not None:
+            _, c2, j2, e2 = forms[k]
+            expr = [
+                [list(wrap) + list(c1), j1, e1],
+                [list(wrap) + list(c2), j2, e2],
+            ]
+            return _syntactic_cert(relators, target, expr)
 
     def peel(w: FreeWord, depth: int):
         if not w:
@@ -227,7 +261,7 @@ def exponent_vector(word: Sequence[int], rank: int) -> list[int]:
 
 
 def abelian_nonmember(
-    relators: Sequence[FreeWord], target: Sequence[int], rank: int
+    relators: Presentation | Sequence[FreeWord], target: Sequence[int], rank: int
 ) -> MembershipCertificate | None:
     """Certify non-membership when the target's exponent vector leaves the
     integer lattice spanned by the relators' vectors.
@@ -235,16 +269,13 @@ def abelian_nonmember(
     Sound because the normal closure dies in the abelianization quotient
     Z^rank / <relator vectors>.
     """
-    lattice = IntLattice(rank)
-    for rel in relators:
-        lattice.add(exponent_vector(rel, rank))
+    pres = _presentation(relators, rank)
     tvec = exponent_vector(target, rank)
-    if lattice.contains(tvec):
+    if pres.lattice.contains(tvec):
         return None
+    vectors = [exponent_vector(r, rank) for r in pres.relators]
     return MembershipCertificate(
-        NON_MEMBER,
-        "abelian",
-        {"target_vector": tvec, "relator_vectors": [exponent_vector(r, rank) for r in relators]},
+        NON_MEMBER, "abelian", {"target_vector": tvec, "relator_vectors": vectors}
     )
 
 
@@ -390,7 +421,7 @@ def todd_coxeter(relators: Sequence[FreeWord], rank: int, cap: int) -> CosetTabl
 
 
 def coset_membership(
-    relators: Sequence[FreeWord],
+    relators: Presentation | Sequence[FreeWord],
     target: Sequence[int],
     rank: int,
     cap: int = 100_000,
@@ -404,7 +435,7 @@ def coset_membership(
     membership; anything else is inconclusive.
     """
     target = free_reduce(target)
-    result = todd_coxeter(relators, rank, cap)
+    result = _presentation(relators, rank).coset_table(cap)
     end = result.trace(target)
     if result.complete:
         verdict = MEMBER if end == 0 else NON_MEMBER
@@ -429,7 +460,7 @@ def coset_membership(
 
 
 def decide_membership(
-    relators: Sequence[FreeWord],
+    relators: Presentation | Sequence[FreeWord],
     target: Sequence[int],
     rank: int,
     *,
@@ -444,8 +475,7 @@ def decide_membership(
     relators and target); it is skipped when that context is absent.
     ``coset_cap`` bounds the coset table of the last tier.
     """
-    relators = [free_reduce(r) for r in relators]
-    relators = [r for r in relators if r]
+    relators = _presentation(relators, rank)
     cert = syntactic_member(relators, target)
     if cert is not None:
         return cert
@@ -480,7 +510,7 @@ _REGULARITY_CLOSURE_CAP = 5000
 
 def verify_certificate(
     cert: MembershipCertificate,
-    relators: Sequence[FreeWord],
+    relators: Presentation | Sequence[FreeWord],
     target: Sequence[int],
     rank: int,
     *,
@@ -489,32 +519,28 @@ def verify_certificate(
     target_loop: "CyclicWord | None" = None,
 ) -> bool:
     """Re-validate a certificate from the original query data alone."""
-    relators = [free_reduce(r) for r in relators]
-    relators = [r for r in relators if r]
+    pres = _presentation(relators, rank)
     target = free_reduce(target)
     if cert.tier == "syntactic" and cert.verdict == MEMBER:
-        return _check_expression(relators, target, cert.evidence["expression"])
+        return _check_expression(pres.relators, target, cert.evidence["expression"])
     if cert.tier == "abelian" and cert.verdict == NON_MEMBER:
-        lattice = IntLattice(rank)
-        for rel in relators:
-            lattice.add(exponent_vector(rel, rank))
         tvec = exponent_vector(target, rank)
-        return tvec == cert.evidence["target_vector"] and not lattice.contains(tvec)
+        return tvec == cert.evidence["target_vector"] and not pres.lattice.contains(tvec)
     if cert.tier == "contraction" and cert.verdict == NON_MEMBER:
         if graph is None or relator_loops is None or target_loop is None:
             return False
         fresh = contraction_nonmember(graph, relator_loops, target_loop)
         return fresh is not None and fresh.evidence == cert.evidence
     if cert.tier == "coset_enumeration":
-        return _verify_coset_cert(cert, relators, target, rank)
+        return _verify_coset_cert(cert, pres, target, rank)
     if cert.verdict == UNDECIDED:
         return True
     return False
 
 
-def _verify_coset_cert(cert, relators, target, rank) -> bool:
+def _verify_coset_cert(cert, pres, target, rank) -> bool:
     size = cert.evidence["table_size"]
-    result = todd_coxeter(relators, rank, cert.evidence["cap"])
+    result = pres.coset_table(cert.evidence["cap"])
     if result.size != size or result.complete != cert.evidence["complete"]:
         return False
     if result.trace(target) != cert.evidence["target_coset"]:
@@ -534,7 +560,7 @@ def _verify_coset_cert(cert, relators, target, rank) -> bool:
         fwd, bwd = cols[2 * k], cols[2 * k + 1]
         if any(bwd[fwd[c]] != c for c in range(n)):
             return False
-    for rel in relators:
+    for rel in pres.relators:
         for c in range(n):
             if result.trace(rel, c) != c:
                 return False

@@ -11,17 +11,37 @@ oracles keep the group layer's first, index-free paths, multiplying with
 ``Permutation`` breadth-first search, conjugacy classes by
 ``conjugate_by`` flood fill, regular Cayley graphs and the left action
 element by element, and jump equivalence by the unmemoised pattern loop
-with a quadratic witness search.
+with a quadratic witness search.  The membership oracle is kept stateless,
+rebuilding everything it reads from the raw relators on every query.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from time import perf_counter
 
 from covspec.graphs import ColoredGraph, Edge, cayley_graph
 from covspec.groups import CapExceededError, Permutation
-from covspec.metric import CyclicWord, MetricGraph, reduce_dart_path
+from covspec.lattices import IntLattice
+from covspec.metric import CyclicWord, MetricGraph, loop_to_free_word, reduce_dart_path, render_loop
+from covspec.spectrum import QueryRecord, UndecidedOracleError, _NormalClosureOracle
+from covspec.words import (
+    CONJUGATOR_LENGTH,
+    MEMBER,
+    NON_MEMBER,
+    SYNTACTIC_TERMS,
+    UNDECIDED,
+    MembershipCertificate,
+    _check_expression,
+    _strip_to_cyclic,
+    contraction_nonmember,
+    exponent_vector,
+    free_reduce,
+    todd_coxeter,
+    verify_certificate,
+    word_inverse,
+)
 
 
 def classes_by_walks(X: MetricGraph, budget: Fraction, strict: bool = True):
@@ -300,3 +320,168 @@ def jump_equivalence_by_patterns(G, H1, H2):
                 t = tuple(k for k in range(n) if j >> k & 1)
                 return False, (s, t), 1 << n
     return True, None, 1 << n
+
+
+# ---------------------------------------------------------------------------
+# the stateless membership oracle, as it was before the tiers shared one
+# presentation: every query re-reduces the relators, rebuilds every rotation
+# of every relator (deduplicated globally), rebuilds the abelian lattice and
+# re-runs Todd-Coxeter, and the two-form search is a nested loop.
+
+
+def relator_forms(relators):
+    forms = []
+    seen = set()
+    for j, rel in enumerate(relators):
+        core, pref = _strip_to_cyclic(rel)
+        if not core:
+            continue
+        for base, exp in ((core, 1), (word_inverse(core), -1)):
+            for i in range(len(base)):
+                f = base[i:] + base[:i]
+                if f in seen:
+                    continue
+                seen.add(f)
+                conj = free_reduce(word_inverse(tuple(pref) + base[:i]))
+                forms.append((f, conj, j, exp))
+    return forms
+
+
+def syntactic_member_stateless(relators, target):
+    target = free_reduce(target)
+    if not target:
+        return MembershipCertificate(MEMBER, "syntactic", {"expression": []})
+    core, wrap = _strip_to_cyclic(target)
+    forms = relator_forms(relators)
+    if not forms:
+        return None
+
+    def cert(expr):
+        assert _check_expression(relators, target, expr)
+        return MembershipCertificate(MEMBER, "syntactic", {"expression": expr})
+
+    for f, conj, j, exp in forms:
+        if len(core) % len(f) == 0:
+            k = len(core) // len(f)
+            if f * k == core:
+                return cert([[list(wrap) + list(conj), j, exp * k]])
+    for f1, c1, j1, e1 in forms:
+        for f2, c2, j2, e2 in forms:
+            if free_reduce(f1 + f2) == core:
+                return cert([[list(wrap) + list(c1), j1, e1], [list(wrap) + list(c2), j2, e2]])
+
+    def peel(w, depth):
+        if not w:
+            return []
+        if depth == 0:
+            return None
+        for f, conj, j, exp in forms:
+            for i in range(min(CONJUGATOR_LENGTH, len(w)) + 1):
+                p = w[:i]
+                t = free_reduce(p + f + word_inverse(p))
+                rest = free_reduce(word_inverse(t) + w)
+                if len(rest) < len(w):
+                    tail = peel(rest, depth - 1)
+                    if tail is not None:
+                        return [[list(free_reduce(p + conj)), j, exp]] + tail
+            for i in range(min(CONJUGATOR_LENGTH, len(w)) + 1):
+                s = w[len(w) - i:]
+                t = free_reduce(word_inverse(s) + f + s)
+                rest = free_reduce(w + word_inverse(t))
+                if len(rest) < len(w):
+                    head = peel(rest, depth - 1)
+                    if head is not None:
+                        return head + [[list(free_reduce(word_inverse(s) + conj)), j, exp]]
+        return None
+
+    expr = peel(core, SYNTACTIC_TERMS)
+    return None if expr is None else cert([[list(wrap) + c, j, e] for c, j, e in expr])
+
+
+def decide_membership_stateless(relators, target, rank, *, graph=None, relator_loops=None,
+                                target_loop=None, coset_cap=100_000):
+    relators = [r for r in (free_reduce(r) for r in relators) if r]
+    cert = syntactic_member_stateless(relators, target)
+    if cert is not None:
+        return cert
+    lattice = IntLattice(rank)
+    for rel in relators:
+        lattice.add(exponent_vector(rel, rank))
+    tvec = exponent_vector(target, rank)
+    if not lattice.contains(tvec):
+        return MembershipCertificate(NON_MEMBER, "abelian", {
+            "target_vector": tvec,
+            "relator_vectors": [exponent_vector(r, rank) for r in relators],
+        })
+    if graph is not None and relator_loops is not None and target_loop is not None:
+        cert = contraction_nonmember(graph, relator_loops, target_loop)
+        if cert is not None:
+            return cert
+    target = free_reduce(target)
+    table = todd_coxeter(relators, rank, coset_cap)
+    end = table.trace(target)
+    if table.complete or end == 0:
+        verdict = MEMBER if end == 0 else NON_MEMBER
+        return MembershipCertificate(verdict, "coset_enumeration", {
+            "complete": table.complete, "cap": coset_cap, "table_size": table.size,
+            "target_coset": end,
+        })
+    return MembershipCertificate(UNDECIDED, "exhausted", {"budgets": {
+        "syntactic_terms": SYNTACTIC_TERMS, "conjugator_length": CONJUGATOR_LENGTH,
+        "coset_cap": coset_cap,
+    }})
+
+
+class StatelessOracle(_NormalClosureOracle):
+    """The graph driver's oracle with every query and saturation check run
+    from the raw relator list; install it as ``spectrum._NormalClosureOracle``.
+    Past ``deadline`` (a ``perf_counter`` time), the next query or
+    generator check raises TimeoutError."""
+
+    deadline: float | None = None
+
+    def _on_time(self):
+        if self.deadline is not None and perf_counter() > self.deadline:
+            raise TimeoutError("the stateless oracle ran past its deadline")
+
+    def contains(self, cls):
+        self._on_time()
+        word = loop_to_free_word(self.X, cls.word)
+        count = len(self.relators)
+        cert = decide_membership_stateless(self.relators, word, self.X.rank, graph=self.X,
+                                           relator_loops=self.loops, target_loop=cls.word)
+        name = render_loop(self.X, cls.word)
+        self.report.queries.append(QueryRecord(cls.length, name, word, cls.word, count, cert))
+        if cert.verdict == UNDECIDED:
+            raise UndecidedOracleError(cls.length, name, cert)
+        return cert.verdict == MEMBER
+
+    def saturated(self):
+        rank = self.X.rank
+        for g in range(rank):
+            if self._gen_certified[g] is None:
+                self._on_time()
+                self._gen_certified[g] = syntactic_member_stateless(self.relators, (g + 1,))
+        if all(c is not None for c in self._gen_certified):
+            return True
+        table = todd_coxeter(self.relators, rank, cap=3000)
+        if table.complete and all(table.trace((g + 1,)) == 0 for g in range(rank)):
+            for g in range(rank):
+                self._gen_certified[g] = MembershipCertificate(MEMBER, "coset_enumeration", {
+                    "complete": True, "cap": 3000, "table_size": table.size, "target_coset": 0,
+                })
+            self._mode = "quotient_enumerated"
+            return True
+        return False
+
+
+def replay_stateless(report, X) -> bool:
+    """Replay every certificate of a report from fresh relator-list slices."""
+    for q in report.queries:
+        k = q.relator_count
+        if not verify_certificate(q.certificate, report.relator_words[:k], q.word, X.rank,
+                                  graph=X, relator_loops=report.relator_loops[:k],
+                                  target_loop=q.target_loop):
+            return False
+    return all(verify_certificate(cert, report.relator_words, word, X.rank)
+               for word, cert in report.termination_queries)

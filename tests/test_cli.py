@@ -276,6 +276,18 @@ def _bad_input_files(tmp_path):
     doc["lengths"] = [1]
     path.write_text(json.dumps(doc))
     (tmp_path / "empty.json").write_text('{"vertices": [], "edges": [], "lengths": {}}')
+    # values that int() or list() would silently truncate
+    for name, edit in (
+        ("float_id.json", lambda d: d["edges"][0].update(id=0.5)),
+        ("bool_from.json", lambda d: d["edges"][1].update({"from": False})),
+        ("string_to.json", lambda d: d["edges"][1].update(to="0")),
+        ("string_vertices.json", lambda d: d.update(vertices="v")),
+        ("object_edges.json", lambda d: d.update(edges={})),
+    ):
+        doc = json.loads(wedge_json(tmp_path).read_text())
+        edit(doc)
+        (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "nested.json").write_text("[" * 100_000)
 
 
 @pytest.mark.parametrize(
@@ -290,6 +302,13 @@ def _bad_input_files(tmp_path):
         ["triple", "--group", "g.txt", "--h1", "missing.txt", "--h2", "h.txt"],
         ["triple", "--group", "g.txt"],
         ["covspec", "--input", "empty.json"],
+        ["covspec", "--input", "float_id.json"],
+        ["covspec", "--input", "bool_from.json"],
+        ["covspec", "--input", "string_to.json"],
+        ["covspec", "--input", "string_vertices.json"],
+        ["covspec", "--input", "object_edges.json"],
+        ["covspec", "--input", "nested.json"],
+        ["export-dot", "--input", "nested.json"],
     ],
 )
 def test_bad_input_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, argv):

@@ -88,6 +88,12 @@ class TestMetricGraph:
         with pytest.raises(ValueError):
             MetricGraph(g, {"A": Fraction(1)})
 
+    @pytest.mark.parametrize("root", [3, -1, 0.5])
+    def test_root_outside_the_vertices_rejected(self, root):
+        g = ColoredGraph(["v"], [Edge(0, 0, 0, "A")], ["A"])
+        with pytest.raises(ValueError, match="root"):
+            MetricGraph(g, {"A": Fraction(1)}, root=root)
+
     def test_nonpositive_length_rejected(self, fano_graphs):
         with pytest.raises(ValueError):
             MetricGraph(fano_graphs[0], {"A": Fraction(0), "B": LB})

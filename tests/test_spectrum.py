@@ -3,9 +3,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import takewhile
+from time import perf_counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from covspec import (
@@ -19,9 +20,18 @@ from covspec import (
     jump_set,
     length_spectrum_containment,
 )
+from covspec import spectrum as spectrum_mod
+from covspec import words as words_mod
+from covspec.groups import Permutation
 from covspec.spectrum import BudgetExhaustedError, UndecidedOracleError, _lattice_vectors
 
-from oracles import det, lattice_jump_scan, lattice_vectors_by_box
+from oracles import (
+    StatelessOracle,
+    det,
+    lattice_jump_scan,
+    lattice_vectors_by_box,
+    replay_stateless,
+)
 
 LA, LB = Fraction(2), Fraction(5, 2)
 
@@ -315,3 +325,81 @@ class TestLatticeStream:
     def test_heavy_pool_bases(self, basis, expected):
         rows = [[Fraction(x) for x in row.split()] for row in basis.split(";")]
         assert covering_spectrum_lattice(rows).display() == expected
+
+
+@st.composite
+def schreier_metric_graphs(draw):
+    """Connected Schreier graphs of two random permutations of degree at
+    most 8, half with the lengths 2 and 5/2 per colour, half per edge."""
+    n = draw(st.integers(1, 8))
+    a, b = (draw(st.permutations(range(n))) for _ in range(2))
+    graph = cayley_graph([("A", Permutation(a)), ("B", Permutation(b))])
+    if draw(st.booleans()):
+        lengths = [Fraction(draw(st.integers(1, 8)), 2) for _ in graph.edges]
+    else:
+        lengths = {"A": Fraction(2), "B": Fraction(5, 2)}
+    try:
+        return MetricGraph(graph, lengths)
+    except ValueError:  # not connected
+        assume(False)
+
+
+def full_report(X):
+    """Everything a run reports, with both replays of its certificates."""
+    try:
+        spectrum, report = covering_spectrum(X)
+    except UndecidedOracleError as err:
+        return "undecided", err.length, err.target_name, err.certificate
+    queries = [(q.length, q.target_name, q.word, q.relator_count, q.certificate)
+               for q in report.queries]
+    replays = report.verify_all_certificates(X), replay_stateless(report, X)
+    return spectrum, queries, report.termination, report.processed_to, replays
+
+
+def stateless_full_report(X, seconds):
+    """full_report(X) with the stateless oracle, or None past ``seconds``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum_mod, "_NormalClosureOracle", StatelessOracle)
+        mp.setattr(StatelessOracle, "deadline", perf_counter() + seconds)
+        try:
+            return full_report(X)
+        except TimeoutError:
+            return None
+
+
+class TestSharedPresentation:
+    # The stateless oracle's two-form loop is quadratic in the relator
+    # forms at every query and every saturation check, so on some graphs
+    # it runs for minutes (per-edge lengths walk many levels).  Examples
+    # on which it runs past a two-second deadline are rejected, and a
+    # failing example is reported as drawn rather than shrunk.
+    @given(schreier_metric_graphs())
+    @settings(max_examples=25, deadline=None, derandomize=True, phases=[Phase.generate])
+    def test_reports_match_the_stateless_oracle(self, X):
+        ours = full_report(X)
+        reference = stateless_full_report(X, 2.0)
+        assume(reference is not None)
+        assert ours == reference
+        assert ours[0] == "undecided" or ours[-1] == (True, True)
+
+    def test_replay_builds_one_table_per_relator_count_and_cap(self, monkeypatch):
+        # the closure saturates by a complete enumeration, so all eight
+        # generator certificates name the same (relator count, cap)
+        graph = cayley_graph([("A", Permutation([3, 4, 5, 2, 0, 6, 1])),
+                              ("B", Permutation([3, 2, 1, 5, 0, 4, 6]))])
+        X = MetricGraph(graph, {"A": Fraction(2), "B": Fraction(5, 2)})
+        _, report = covering_spectrum(X)
+        assert report.termination["mode"] == "quotient_enumerated"
+        keys = {(q.relator_count, q.certificate.evidence["cap"]) for q in report.queries
+                if q.certificate.tier == "coset_enumeration"}
+        keys.add((len(report.relator_words), 3000))
+        calls = []
+        inner = words_mod.todd_coxeter
+
+        def counting(relators, rank, cap):
+            calls.append(cap)
+            return inner(relators, rank, cap)
+
+        monkeypatch.setattr(words_mod, "todd_coxeter", counting)
+        assert report.verify_all_certificates(X)
+        assert len(calls) == len(keys)

@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covspec import (
     MembershipCertificate,
@@ -26,7 +28,9 @@ from covspec import (
     verify_certificate,
     word_inverse,
 )
-from covspec.words import CosetTable
+from covspec.words import CosetTable, Presentation
+
+from oracles import decide_membership_stateless, relator_forms, syntactic_member_stateless
 
 LA, LB = Fraction(2), Fraction(5, 2)
 
@@ -320,6 +324,71 @@ class TestOracleProperties:
             )
             cert = decide_membership(rels, target, rank=2, coset_cap=2000)
             assert verify_certificate(cert, rels, target, 2)
+
+
+_letters = st.sampled_from([1, -1, 2, -2, 3, -3])
+_relators = st.lists(_letters, min_size=1, max_size=5).map(cyclic_reduce).filter(bool)
+
+
+class TestPresentation:
+    @pytest.mark.parametrize(
+        "relators",
+        [
+            [(1, 2) * 3],
+            [(1, 2), (2, 1), (1, 2) * 3, (-2, -1) * 2, (1, 1, 1)],
+            [(3, 1, -2, 1, -2, -3), (-2, 1) * 2, (1, -2, 1), (2, 2, -1, 2, 2, -1)],
+        ],
+    )
+    def test_forms_match_every_rotation_deduplicated(self, relators):
+        pres = Presentation(3, relators)
+        assert pres.forms == relator_forms(relators)
+        assert pres.form_index == {f: k for k, (f, _, _, _) in enumerate(pres.forms)}
+
+    def test_two_form_search_takes_the_first_factorisation(self):
+        # (1, 3) is x1 * x3 and also (x1 x2) * (x2^-1 x3)
+        relators = [(1,), (3,), (1, 2), (-2, 3)]
+        cert = syntactic_member(relators, (1, 3))
+        assert [j for _, j, _ in cert.evidence["expression"]] == [0, 1]
+        assert cert == syntactic_member_stateless(relators, (1, 3))
+
+    @given(st.lists(_relators, min_size=1, max_size=3), st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_tiers_match_the_stateless_oracle(self, relators, data):
+        # a product of two relator forms, with letters between them or not,
+        # gives the two-form search targets with several factorisations
+        forms = [f for f, _, _, _ in relator_forms(relators)]
+        f1, f2 = data.draw(st.sampled_from(forms)), data.draw(st.sampled_from(forms))
+        target = free_reduce(f1 + tuple(data.draw(st.lists(_letters, max_size=2))) + f2)
+        pres = Presentation(3)
+        for rel in relators:
+            pres.add(rel)
+        cert = decide_membership(pres, target, 3, coset_cap=500)
+        assert cert == decide_membership_stateless(relators, target, 3, coset_cap=500)
+        assert verify_certificate(cert, relators, target, 3)
+
+    def test_one_coset_table_per_relator_count_and_cap(self, monkeypatch):
+        calls = []
+
+        def counting(relators, rank, cap):
+            calls.append((len(relators), cap))
+            return todd_coxeter(relators, rank, cap)
+
+        monkeypatch.setattr("covspec.words.todd_coxeter", counting)
+        pres = Presentation(2, [(1,)])
+        # F/<<x>> is infinite, so both stop at the cap; the table is shared
+        assert coset_membership(pres, (1, 1), 2, cap=50).verdict == "member"
+        assert coset_membership(pres, (2,), 2, cap=50) is None
+        assert calls == [(1, 50)]
+        pres.add((2,))
+        cert = coset_membership(pres, (2,), 2, cap=50)
+        assert cert.verdict == "member" and cert.evidence["complete"]
+        assert coset_membership(pres, (2,), 2, cap=60).evidence["complete"]
+        assert calls == [(1, 50), (2, 50), (2, 60)]
+        # two replays at one (relator count, cap) share one table too
+        checker = Presentation(2, [(1,), (2,)])
+        assert verify_certificate(cert, checker, (2,), 2)
+        assert verify_certificate(cert, checker, (1, 2), 2)
+        assert calls[3:] == [(2, 50)]
 
 
 _OPTIMIZED_CHECKS = """
