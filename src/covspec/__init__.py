@@ -64,6 +64,7 @@ from .spectrum import (
 )
 from .words import (
     MembershipCertificate,
+    Presentation,
     abelian_nonmember,
     canonical_cyclic_word,
     contraction_nonmember,

@@ -85,8 +85,8 @@ def _load_metric_graph(path: str) -> MetricGraph:
 def _spectrum_payload(spectrum, report, explain: bool) -> dict:
     doc = {
         "covspec": spectrum.as_strings(),
-        "jumps": [format_rational(j.value) for j in report.jumps],
-        "witnesses": [j.witness_name for j in report.jumps],
+        "jumps": [format_rational(q.length) for q in report.jumps],
+        "witnesses": [q.target_name for q in report.jumps],
         "length_spectrum_containment": length_spectrum_containment(report, spectrum),
     }
     if explain:
@@ -152,7 +152,7 @@ def run_fano(la: Fraction, lb: Fraction, explain: bool = False) -> dict:
     expected = [format_rational(q) for q in fano_data.expected_length_multiset(la, lb)]
     multisets = {}
     for name, X in (("x1", X1), ("x2", X2)):
-        got = [format_rational(c.length) for c in enumerate_classes(X, cutoff, strict=True)]
+        got = [format_rational(c.length) for c in enumerate_classes(X, cutoff)]
         multisets[name] = got
     doc["expected_length_multiset"] = expected
     doc["length_multiset_ok"] = all(sorted(m) == sorted(expected) for m in multisets.values())

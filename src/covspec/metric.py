@@ -285,22 +285,17 @@ def iter_classes(X: MetricGraph, cap: int = DEFAULT_CLASS_CAP) -> Iterator[Marke
 
 
 def enumerate_classes(
-    X: MetricGraph,
-    budget: Fraction,
-    strict: bool = True,
-    cap: int = DEFAULT_CLASS_CAP,
+    X: MetricGraph, budget: Fraction, cap: int = DEFAULT_CLASS_CAP
 ) -> list[MarkedClass]:
     """All free homotopy classes with marked length below the budget.
 
-    With strict=False the budget itself is included.  Sorted by (length,
-    canonical word).  The cap counts the first class past the budget too.
+    The budget itself is excluded.  Sorted by (length, canonical word).
+    The cap counts the first class past the budget too.
     """
     budget = Fraction(budget)
     if budget <= 0:
         raise ValueError("budget must be positive")
-    if strict:
-        return list(takewhile(lambda c: c.length < budget, iter_classes(X, cap)))
-    return list(takewhile(lambda c: c.length <= budget, iter_classes(X, cap)))
+    return list(takewhile(lambda c: c.length < budget, iter_classes(X, cap)))
 
 
 def loop_to_free_word(X: MetricGraph, path: Sequence[int] | CyclicWord) -> tuple[int, ...]:

@@ -21,6 +21,7 @@ from itertools import groupby, takewhile
 from math import isqrt, lcm
 from typing import Sequence
 
+from .groups import CapExceededError
 from .lattices import IntLattice
 from .metric import (
     CyclicWord,
@@ -70,26 +71,22 @@ def jump_set(items, oracle):
     smaller levels until the first falls outside, then all are added.
     The walk stops after the first level at which the oracle is
     saturated, so ``items`` may be an endless stream.  Returns
-    (jumps, witnesses, last_level) where jumps[i] is the level at which
-    witnesses[i] fell outside.
+    (jumps, last_level).
     """
     jumps = []
-    witnesses = []
     last = None
     for m, level in groupby(items, key=lambda item: item[0]):
         if last is not None and m < last:
             raise ValueError("items are not sorted by level")
         keys = [key for _, key in level]
-        outside = next((key for key in keys if not oracle.contains(key)), None)
+        if not all(oracle.contains(key) for key in keys):
+            jumps.append(m)
         for key in keys:
             oracle.add(key)
-        if outside is not None:
-            jumps.append(m)
-            witnesses.append(outside)
         last = m
         if oracle.saturated():
             break
-    return jumps, witnesses, last
+    return jumps, last
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,6 @@ class CoveringSpectrum:
     """Sorted covering spectrum values, exactly half the filtration jumps."""
 
     values: tuple[Fraction, ...]
-    source: str
 
     def __contains__(self, q) -> bool:
         return Fraction(q) in self.values
@@ -107,20 +103,11 @@ class CoveringSpectrum:
 
 
 @dataclass
-class JumpRecord:
-    value: Fraction
-    witness: CyclicWord
-    witness_name: str
-    certificate: MembershipCertificate
-
-
-@dataclass
 class QueryRecord:
     length: Fraction
     target_name: str
-    word: tuple[int, ...]
     target_loop: CyclicWord
-    relator_count: int  # relator list length when the query was made
+    relator_count: int  # classes added when the query was made
     certificate: MembershipCertificate
 
 
@@ -128,42 +115,64 @@ class QueryRecord:
 class FiltrationReport:
     """Audit trail of one covering spectrum run.
 
-    The relator lists are append-only, so ``relator_count`` on each query
-    reconstructs the exact oracle context for independent re-verification.
+    ``classes`` are the relators in the order they were added, so
+    ``relator_count`` on each query reconstructs the exact oracle context
+    for independent re-verification.  ``generator_certificates`` holds one
+    membership certificate per free generator, filled in as the closure
+    saturates, and ``mode`` says how they were found.
     """
 
-    jumps: list[JumpRecord] = field(default_factory=list)
-    queries: list[QueryRecord] = field(default_factory=list)
     classes: list[MarkedClass] = field(default_factory=list)
-    relator_words: list[tuple[int, ...]] = field(default_factory=list)
-    relator_loops: list[CyclicWord] = field(default_factory=list)
-    termination_queries: list[tuple[tuple[int, ...], MembershipCertificate]] = field(
-        default_factory=list
-    )
+    queries: list[QueryRecord] = field(default_factory=list)
+    generator_certificates: list[MembershipCertificate | None] = field(default_factory=list)
+    mode: str = "generators_certified"
     processed_to: Fraction | None = None
-    termination: dict = field(default_factory=dict)
+
+    @property
+    def jumps(self) -> list[QueryRecord]:
+        """The non-member queries: a level's querying stops at its first
+        non-member, so these are exactly the jump witnesses, in order."""
+        return [q for q in self.queries if q.certificate.verdict == NON_MEMBER]
+
+    @property
+    def termination(self) -> dict:
+        if not self.generator_certificates:
+            return {"mode": "simply_connected"}
+        return {"mode": self.mode,
+                "certificates": [c.to_json_dict() for c in self.generator_certificates]}
 
     def realized_lengths(self) -> list[Fraction]:
         return sorted({c.length for c in self.classes})
 
     def jump_values(self) -> list[Fraction]:
-        return [j.value for j in self.jumps]
+        return [q.length for q in self.jumps]
 
     def verify_all_certificates(self, X: MetricGraph) -> bool:
-        """Replay every emitted certificate with the checker's own presentation."""
+        """Replay every certificate with the checker's own presentation,
+        rewriting every relator and target loop in X afresh."""
+        # looked up per call, so the benchmark's layer tracer can wrap it
         from .words import verify_certificate
 
-        checks = [(q.relator_count, q.word, q.target_loop, q.certificate) for q in self.queries]
-        checks += [(len(self.relator_words), w, None, c) for w, c in self.termination_queries]
+        loops = [c.word for c in self.classes]
+        try:
+            relators = [loop_to_free_word(X, loop) for loop in loops]
+            checks = [(q.relator_count, loop_to_free_word(X, q.target_loop), q.target_loop,
+                       q.certificate) for q in self.queries]
+        except ValueError:  # a loop that does not close in X
+            return False
+        checks += [(len(relators), (g + 1,), None, c)
+                   for g, c in enumerate(self.generator_certificates)]
         pres, grown = Presentation(X.rank), 0
         for k, word, loop, cert in checks:
+            if k > len(relators):
+                return False
             if k < grown:
                 pres, grown = Presentation(X.rank), 0
-            for rel in self.relator_words[grown:k]:
+            for rel in relators[grown:k]:
                 pres.add(rel)
             grown = k
-            if not verify_certificate(cert, pres, word, X.rank, graph=X,
-                                      relator_loops=self.relator_loops[:k], target_loop=loop):
+            if not verify_certificate(cert, pres, word, loops=loops[:k],
+                                      target_loop=loop):
                 return False
         return True
 
@@ -174,75 +183,56 @@ class _NormalClosureOracle:
     def __init__(self, X: MetricGraph, report: FiltrationReport):
         self.X = X
         self.report = report
-        self.relators = report.relator_words
-        self.loops = report.relator_loops
         self.presentation = Presentation(X.rank)
-        self._gen_certified: list[MembershipCertificate | None] = [None] * X.rank
-        self._mode = "generators_certified"
 
     def contains(self, cls: MarkedClass) -> bool:
-        word = loop_to_free_word(self.X, cls.word)
-        count = len(self.relators)
+        classes = self.report.classes
         cert = decide_membership(
             self.presentation,
-            word,
-            self.X.rank,
-            graph=self.X,
-            relator_loops=self.loops,
+            loop_to_free_word(self.X, cls.word),
+            loops=[c.word for c in classes],
             target_loop=cls.word,
         )
         name = render_loop(self.X, cls.word)
-        self.report.queries.append(QueryRecord(cls.length, name, word, cls.word, count, cert))
+        self.report.queries.append(QueryRecord(cls.length, name, cls.word, len(classes), cert))
         if cert.verdict == UNDECIDED:
             raise UndecidedOracleError(cls.length, name, cert)
         return cert.verdict == MEMBER
 
     def add(self, cls: MarkedClass) -> None:
-        self.relators.append(loop_to_free_word(self.X, cls.word))
-        self.presentation.add(self.relators[-1])
-        self.loops.append(cls.word)
+        self.presentation.add(loop_to_free_word(self.X, cls.word))
         self.report.classes.append(cls)
 
     def saturated(self) -> bool:
         """All free generators certified inside the current closure?"""
         rank = self.X.rank
-        if rank == 0:
-            return True
+        certs = self.report.generator_certificates
         lattice = self.presentation.lattice
         # a generator outside the relator lattice is outside the closure, so
         # neither a syntactic witness nor a complete table can certify it
         inside = [lattice.contains([int(i == g) for i in range(rank)]) for g in range(rank)]
         for g in range(rank):
-            if self._gen_certified[g] is None and inside[g]:
-                cert = syntactic_member(self.presentation, (g + 1,))
-                if cert is not None:
-                    self._gen_certified[g] = cert
-        if all(c is not None for c in self._gen_certified):
+            if certs[g] is None and inside[g]:
+                certs[g] = syntactic_member(self.presentation, (g + 1,))
+        if all(c is not None for c in certs):
             return True
         if not all(inside):
             return False
         # one bounded enumeration can settle all generators at once
         table = todd_coxeter(self.presentation.relators, rank, cap=3000)
         if table.complete and all(table.trace((g + 1,)) == 0 for g in range(rank)):
-            for g in range(rank):
-                self._gen_certified[g] = MembershipCertificate(
+            certs[:] = [
+                MembershipCertificate(
                     MEMBER,
                     "coset_enumeration",
                     {"complete": True, "cap": 3000, "table_size": table.size,
                      "target_coset": 0},
                 )
-            self._mode = "quotient_enumerated"
+                for _ in range(rank)
+            ]
+            self.report.mode = "quotient_enumerated"
             return True
         return False
-
-    def finalize_termination(self) -> dict:
-        certs = []
-        for g, cert in enumerate(self._gen_certified):
-            if cert is None:
-                raise AssertionError(f"generator {g + 1} is not certified inside the closure")
-            self.report.termination_queries.append(((g + 1,), cert))
-            certs.append(cert.to_json_dict())
-        return {"mode": self._mode, "certificates": certs}
 
 
 def covering_spectrum(
@@ -259,12 +249,10 @@ def covering_spectrum(
     saturates.  A ceiling reached before saturation raises
     BudgetExhaustedError.
     """
-    report = FiltrationReport()
-    source = f"graph[V={X.graph.vertex_count},E={X.graph.edge_count},rank={X.rank}]"
+    report = FiltrationReport(generator_certificates=[None] * X.rank)
     if X.rank == 0:
         report.processed_to = Fraction(0)
-        report.termination = {"mode": "simply_connected"}
-        return CoveringSpectrum((), source), report
+        return CoveringSpectrum(()), report
 
     if budget is None:
         budget = max(X.generator_class_lengths())
@@ -272,22 +260,14 @@ def covering_spectrum(
     if budget <= 0:
         raise ValueError("budget must be positive")
 
-    oracle = _NormalClosureOracle(X, report)
     classes = takewhile(lambda c: c.length <= budget, iter_classes(X))
-    jumps, _, report.processed_to = jump_set(((c.length, c) for c in classes), oracle)
+    jumps, report.processed_to = jump_set(((c.length, c) for c in classes),
+                                          _NormalClosureOracle(X, report))
     # jump_set asked saturated() at the last level walked, and a False
     # there left some generator uncertified
-    if any(cert is None for cert in oracle._gen_certified):
+    if None in report.generator_certificates:
         raise BudgetExhaustedError(f"no saturation up to the budget {budget}")
-    report.termination = oracle.finalize_termination()
-    # a level's querying stops at its first non-member, so the non-member
-    # queries are exactly the jump witnesses, in order
-    report.jumps = [
-        JumpRecord(q.length, q.target_loop, q.target_name, q.certificate)
-        for q in report.queries
-        if q.certificate.verdict == NON_MEMBER
-    ]
-    return CoveringSpectrum(tuple(v / 2 for v in jumps), source), report
+    return CoveringSpectrum(tuple(v / 2 for v in jumps)), report
 
 
 def length_spectrum_containment(report: FiltrationReport, spectrum: CoveringSpectrum) -> bool:
@@ -362,14 +342,20 @@ def covering_spectrum_lattice(basis: Sequence[Sequence[Fraction | int]]) -> Latt
         raise ValueError("basis must be square")
     scale = lcm(*(x.denominator for row in rows for x in row))
     M = [[int(x * scale) for x in row] for row in rows]
-    jumps_scaled, _, _ = jump_set(_lattice_vectors(M), _SublatticeOracle(n))
+    jumps_scaled, _ = jump_set(_lattice_vectors(M), _SublatticeOracle(n))
     s2 = Fraction(scale) ** 2
     jumps_squared = tuple(q / s2 for q in jumps_scaled)
     return LatticeSpectrum(jumps_squared, tuple(q / 4 for q in jumps_squared))
 
 
+# vectors the torus stream may yield; the seeded benchmark bases use at
+# most a few hundred, while a thin basis such as "K 0; 0 1" needs about 2K
+LATTICE_VECTOR_CAP = 10_000
+
+
 def _lattice_vectors(M: Sequence[Sequence[int]]):
-    """Every nonzero c in Z^n as (|c.M|^2, c), in nondecreasing norm; never ends.
+    """Every nonzero c in Z^n as (|c.M|^2, c), in nondecreasing norm; past
+    ``LATTICE_VECTOR_CAP`` vectors it raises CapExceededError.
 
     Best-first Fincke-Pohst.  With the exact Gram-Schmidt norms B and
     coefficients mu of the rows of M, |c.M|^2 = sum_i B_i (c_i - x_i)^2,
@@ -403,6 +389,7 @@ def _lattice_vectors(M: Sequence[Sequence[int]]):
 
     heap: list = []
     push(Fraction(0), (), Fraction(0), 0, 0)
+    taken = 0
     while True:
         norm, coeffs, base, x, step = heapq.heappop(heap)
         c, fixed = coeffs[0], coeffs[1:]
@@ -415,4 +402,7 @@ def _lattice_vectors(M: Sequence[Sequence[int]]):
             centre = -sum(mu[j, i - 1] * cj for j, cj in enumerate(coeffs, start=i))
             push(norm, coeffs, centre, round(centre), 0)
         elif any(coeffs):
+            if taken == LATTICE_VECTOR_CAP:
+                raise CapExceededError(f"lattice vector count exceeds cap {LATTICE_VECTOR_CAP}")
+            taken += 1
             yield norm, list(coeffs)

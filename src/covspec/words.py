@@ -22,7 +22,7 @@ from .groups import CapExceededError, Permutation, closure
 from .lattices import IntLattice
 
 if TYPE_CHECKING:
-    from .metric import CyclicWord, MetricGraph
+    from .metric import CyclicWord
 
 FreeWord = tuple[int, ...]
 
@@ -152,20 +152,13 @@ class Presentation:
         return self._table[1]
 
 
-def _presentation(relators, rank: int = 0) -> Presentation:
-    return relators if isinstance(relators, Presentation) else Presentation(rank, relators)
-
-
 def _term_word(relators, conj, j, exp) -> FreeWord:
     rel = tuple(relators[j])
     powered = rel * exp if exp > 0 else word_inverse(rel) * (-exp)
     return free_reduce(tuple(conj) + powered + word_inverse(conj))
 
 
-def syntactic_member(
-    relators: Presentation | Sequence[FreeWord],
-    target: Sequence[int],
-) -> MembershipCertificate | None:
+def syntactic_member(pres: Presentation, target: Sequence[int]) -> MembershipCertificate | None:
     """Member certificates from rotations, powers, and shortening products.
 
     The search peels conjugated relator forms off either end of the target,
@@ -174,7 +167,6 @@ def syntactic_member(
     ``SYNTACTIC_TERMS`` deep.  Sound by construction: the witness
     expression multiplies out to the target.
     """
-    pres = _presentation(relators)
     relators, forms = pres.relators, pres.forms
     target = free_reduce(target)
     if not target:
@@ -260,20 +252,17 @@ def exponent_vector(word: Sequence[int], rank: int) -> list[int]:
     return v
 
 
-def abelian_nonmember(
-    relators: Presentation | Sequence[FreeWord], target: Sequence[int], rank: int
-) -> MembershipCertificate | None:
+def abelian_nonmember(pres: Presentation, target: Sequence[int]) -> MembershipCertificate | None:
     """Certify non-membership when the target's exponent vector leaves the
     integer lattice spanned by the relators' vectors.
 
     Sound because the normal closure dies in the abelianization quotient
     Z^rank / <relator vectors>.
     """
-    pres = _presentation(relators, rank)
-    tvec = exponent_vector(target, rank)
+    tvec = exponent_vector(target, pres.rank)
     if pres.lattice.contains(tvec):
         return None
-    vectors = [exponent_vector(r, rank) for r in pres.relators]
+    vectors = [exponent_vector(r, pres.rank) for r in pres.relators]
     return MembershipCertificate(
         NON_MEMBER, "abelian", {"target_vector": tvec, "relator_vectors": vectors}
     )
@@ -284,12 +273,11 @@ def abelian_nonmember(
 
 
 def contraction_nonmember(
-    X: "MetricGraph",
-    relator_loops: Sequence["CyclicWord"],
-    target: "CyclicWord",
+    loops: Sequence["CyclicWord"], target: "CyclicWord"
 ) -> MembershipCertificate | None:
-    """Contract each relator's traversed subgraph; certify non-membership if
-    the target's image in the quotient graph stays homotopically nontrivial.
+    """Contract the edges the relator ``loops`` traverse; certify
+    non-membership if the target's image in the quotient graph stays
+    homotopically nontrivial.
 
     Sound because every conjugate of a contracted loop dies in the quotient
     fundamental group, so the normal closure lies in the kernel.  In a
@@ -297,21 +285,28 @@ def contraction_nonmember(
     empty, and vertex identifications never create new cancellations, so
     the reduced image word decides the question.
     """
-    from .metric import dart_edge, reduce_dart_path
-
-    dead = set()
-    for loop in relator_loops:
-        for d in loop.darts:
-            dead.add(dart_edge(d))
-    image = [d for d in target.darts if dart_edge(d) not in dead]
-    reduced = reduce_dart_path(image, cyclic=True)
-    if not reduced:
+    dead = _loop_edges(loops)
+    image = _contracted_image(target, dead)
+    if not image:
         return None
     return MembershipCertificate(
         NON_MEMBER,
         "contraction",
-        {"contracted_edges": sorted(dead), "image_word": list(reduced)},
+        {"contracted_edges": sorted(dead), "image_word": image},
     )
+
+
+def _loop_edges(loops: Sequence["CyclicWord"]) -> set[int]:
+    from .metric import dart_edge
+
+    return {dart_edge(d) for loop in loops for d in loop.darts}
+
+
+def _contracted_image(target: "CyclicWord", dead) -> list[int]:
+    """The cyclically reduced darts of ``target`` outside the edges ``dead``."""
+    from .metric import dart_edge, reduce_dart_path
+
+    return reduce_dart_path([d for d in target.darts if dart_edge(d) not in dead], cyclic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +416,7 @@ def todd_coxeter(relators: Sequence[FreeWord], rank: int, cap: int) -> CosetTabl
 
 
 def coset_membership(
-    relators: Presentation | Sequence[FreeWord],
-    target: Sequence[int],
-    rank: int,
-    cap: int = 100_000,
+    pres: Presentation, target: Sequence[int], cap: int = 100_000
 ) -> MembershipCertificate | None:
     """Decide membership through coset enumeration when it can.
 
@@ -435,7 +427,7 @@ def coset_membership(
     membership; anything else is inconclusive.
     """
     target = free_reduce(target)
-    result = _presentation(relators, rank).coset_table(cap)
+    result = pres.coset_table(cap)
     end = result.trace(target)
     if result.complete:
         verdict = MEMBER if end == 0 else NON_MEMBER
@@ -460,33 +452,31 @@ def coset_membership(
 
 
 def decide_membership(
-    relators: Presentation | Sequence[FreeWord],
+    pres: Presentation,
     target: Sequence[int],
-    rank: int,
     *,
-    graph: "MetricGraph | None" = None,
-    relator_loops: Sequence["CyclicWord"] | None = None,
+    loops: Sequence["CyclicWord"] | None = None,
     target_loop: "CyclicWord | None" = None,
     coset_cap: int = 100_000,
 ) -> MembershipCertificate:
     """Run the tiers in order and return the first conclusive certificate.
 
-    The contraction tier needs the graph context (the loops realizing the
-    relators and target); it is skipped when that context is absent.
+    The contraction tier needs the graph context, ``loops`` realizing the
+    relators and ``target_loop`` realizing the target; it is skipped when
+    that context is absent.
     ``coset_cap`` bounds the coset table of the last tier.
     """
-    relators = _presentation(relators, rank)
-    cert = syntactic_member(relators, target)
+    cert = syntactic_member(pres, target)
     if cert is not None:
         return cert
-    cert = abelian_nonmember(relators, target, rank)
+    cert = abelian_nonmember(pres, target)
     if cert is not None:
         return cert
-    if graph is not None and relator_loops is not None and target_loop is not None:
-        cert = contraction_nonmember(graph, relator_loops, target_loop)
+    if loops is not None and target_loop is not None:
+        cert = contraction_nonmember(loops, target_loop)
         if cert is not None:
             return cert
-    cert = coset_membership(relators, target, rank, coset_cap)
+    cert = coset_membership(pres, target, coset_cap)
     if cert is not None:
         return cert
     return MembershipCertificate(
@@ -510,35 +500,37 @@ _REGULARITY_CLOSURE_CAP = 5000
 
 def verify_certificate(
     cert: MembershipCertificate,
-    relators: Presentation | Sequence[FreeWord],
+    pres: Presentation,
     target: Sequence[int],
-    rank: int,
     *,
-    graph: "MetricGraph | None" = None,
-    relator_loops: Sequence["CyclicWord"] | None = None,
+    loops: Sequence["CyclicWord"] | None = None,
     target_loop: "CyclicWord | None" = None,
 ) -> bool:
-    """Re-validate a certificate from the original query data alone."""
-    pres = _presentation(relators, rank)
+    """Re-validate a certificate from the original query data alone;
+    ``loops`` and ``target_loop`` are as in ``decide_membership``."""
     target = free_reduce(target)
     if cert.tier == "syntactic" and cert.verdict == MEMBER:
         return _check_expression(pres.relators, target, cert.evidence["expression"])
     if cert.tier == "abelian" and cert.verdict == NON_MEMBER:
-        tvec = exponent_vector(target, rank)
+        tvec = exponent_vector(target, pres.rank)
         return tvec == cert.evidence["target_vector"] and not pres.lattice.contains(tvec)
     if cert.tier == "contraction" and cert.verdict == NON_MEMBER:
-        if graph is None or relator_loops is None or target_loop is None:
+        if loops is None or target_loop is None:
             return False
-        fresh = contraction_nonmember(graph, relator_loops, target_loop)
-        return fresh is not None and fresh.evidence == cert.evidence
+        # contracting any set of edges that holds every relator loop kills
+        # the normal closure, so a nontrivial image of the target is enough
+        dead = set(cert.evidence["contracted_edges"])
+        image = cert.evidence["image_word"]
+        return (_loop_edges(loops) <= dead and bool(image)
+                and image == _contracted_image(target_loop, dead))
     if cert.tier == "coset_enumeration":
-        return _verify_coset_cert(cert, pres, target, rank)
+        return _verify_coset_cert(cert, pres, target)
     if cert.verdict == UNDECIDED:
         return True
     return False
 
 
-def _verify_coset_cert(cert, pres, target, rank) -> bool:
+def _verify_coset_cert(cert, pres, target) -> bool:
     size = cert.evidence["table_size"]
     result = pres.coset_table(cert.evidence["cap"])
     if result.size != size or result.complete != cert.evidence["complete"]:
@@ -551,12 +543,12 @@ def _verify_coset_cert(cert, pres, target, rank) -> bool:
     # completed table: check it really is a quotient action killing the relators
     n = result.size
     cols = []
-    for k in range(2 * rank):
+    for k in range(2 * pres.rank):
         col = [result.table[c][k] for c in range(n)]
         if sorted(col) != list(range(n)):
             return False
         cols.append(col)
-    for k in range(rank):
+    for k in range(pres.rank):
         fwd, bwd = cols[2 * k], cols[2 * k + 1]
         if any(bwd[fwd[c]] != c for c in range(n)):
             return False

@@ -33,6 +33,7 @@ from covspec.words import (
     SYNTACTIC_TERMS,
     UNDECIDED,
     MembershipCertificate,
+    Presentation,
     _check_expression,
     _strip_to_cyclic,
     contraction_nonmember,
@@ -44,16 +45,16 @@ from covspec.words import (
 )
 
 
-def classes_by_walks(X: MetricGraph, budget: Fraction, strict: bool = True):
+def classes_by_walks(X: MetricGraph, budget: Fraction):
     """Free homotopy classes below budget, found by reducing every closed walk.
 
-    Every class with geodesic length within budget is hit because its
-    geodesic loop is itself a closed walk within budget; longer walks only
+    Every class with geodesic length below budget is hit because its
+    geodesic loop is itself a closed walk below budget; longer walks only
     rediscover the same canonical forms.
     """
 
     def within(q):
-        return q < budget if strict else q <= budget
+        return q < budget
 
     found: dict[CyclicWord, Fraction] = {}
     for v0 in range(X.graph.vertex_count):
@@ -398,7 +399,7 @@ def syntactic_member_stateless(relators, target):
     return None if expr is None else cert([[list(wrap) + c, j, e] for c, j, e in expr])
 
 
-def decide_membership_stateless(relators, target, rank, *, graph=None, relator_loops=None,
+def decide_membership_stateless(relators, target, rank, *, loops=None,
                                 target_loop=None, coset_cap=100_000):
     relators = [r for r in (free_reduce(r) for r in relators) if r]
     cert = syntactic_member_stateless(relators, target)
@@ -413,8 +414,8 @@ def decide_membership_stateless(relators, target, rank, *, graph=None, relator_l
             "target_vector": tvec,
             "relator_vectors": [exponent_vector(r, rank) for r in relators],
         })
-    if graph is not None and relator_loops is not None and target_loop is not None:
-        cert = contraction_nonmember(graph, relator_loops, target_loop)
+    if loops is not None and target_loop is not None:
+        cert = contraction_nonmember(loops, target_loop)
         if cert is not None:
             return cert
     target = free_reduce(target)
@@ -434,9 +435,10 @@ def decide_membership_stateless(relators, target, rank, *, graph=None, relator_l
 
 class StatelessOracle(_NormalClosureOracle):
     """The graph driver's oracle with every query and saturation check run
-    from the raw relator list; install it as ``spectrum._NormalClosureOracle``.
-    Past ``deadline`` (a ``perf_counter`` time), the next query or
-    generator check raises TimeoutError."""
+    from relator words rewritten afresh from the report's classes; install
+    it as ``spectrum._NormalClosureOracle``.  Past ``deadline`` (a
+    ``perf_counter`` time), the next query or generator check raises
+    TimeoutError."""
 
     deadline: float | None = None
 
@@ -444,44 +446,51 @@ class StatelessOracle(_NormalClosureOracle):
         if self.deadline is not None and perf_counter() > self.deadline:
             raise TimeoutError("the stateless oracle ran past its deadline")
 
+    def _relators(self):
+        return [loop_to_free_word(self.X, c.word) for c in self.report.classes]
+
     def contains(self, cls):
         self._on_time()
+        loops = [c.word for c in self.report.classes]
         word = loop_to_free_word(self.X, cls.word)
-        count = len(self.relators)
-        cert = decide_membership_stateless(self.relators, word, self.X.rank, graph=self.X,
-                                           relator_loops=self.loops, target_loop=cls.word)
+        cert = decide_membership_stateless(self._relators(), word, self.X.rank,
+                                           loops=loops, target_loop=cls.word)
         name = render_loop(self.X, cls.word)
-        self.report.queries.append(QueryRecord(cls.length, name, word, cls.word, count, cert))
+        self.report.queries.append(QueryRecord(cls.length, name, cls.word, len(loops), cert))
         if cert.verdict == UNDECIDED:
             raise UndecidedOracleError(cls.length, name, cert)
         return cert.verdict == MEMBER
 
     def saturated(self):
         rank = self.X.rank
+        certs = self.report.generator_certificates
+        relators = self._relators()
         for g in range(rank):
-            if self._gen_certified[g] is None:
+            if certs[g] is None:
                 self._on_time()
-                self._gen_certified[g] = syntactic_member_stateless(self.relators, (g + 1,))
-        if all(c is not None for c in self._gen_certified):
+                certs[g] = syntactic_member_stateless(relators, (g + 1,))
+        if all(c is not None for c in certs):
             return True
-        table = todd_coxeter(self.relators, rank, cap=3000)
+        table = todd_coxeter(relators, rank, cap=3000)
         if table.complete and all(table.trace((g + 1,)) == 0 for g in range(rank)):
-            for g in range(rank):
-                self._gen_certified[g] = MembershipCertificate(MEMBER, "coset_enumeration", {
-                    "complete": True, "cap": 3000, "table_size": table.size, "target_coset": 0,
-                })
-            self._mode = "quotient_enumerated"
+            certs[:] = [MembershipCertificate(MEMBER, "coset_enumeration", {
+                "complete": True, "cap": 3000, "table_size": table.size, "target_coset": 0,
+            }) for _ in range(rank)]
+            self.report.mode = "quotient_enumerated"
             return True
         return False
 
 
 def replay_stateless(report, X) -> bool:
-    """Replay every certificate of a report from fresh relator-list slices."""
+    """Replay every certificate of a report from fresh presentations of
+    relator-list slices."""
+    loops = [c.word for c in report.classes]
+    relators = [loop_to_free_word(X, loop) for loop in loops]
     for q in report.queries:
         k = q.relator_count
-        if not verify_certificate(q.certificate, report.relator_words[:k], q.word, X.rank,
-                                  graph=X, relator_loops=report.relator_loops[:k],
-                                  target_loop=q.target_loop):
+        if not verify_certificate(q.certificate, Presentation(X.rank, relators[:k]),
+                                  loop_to_free_word(X, q.target_loop),
+                                  loops=loops[:k], target_loop=q.target_loop):
             return False
-    return all(verify_certificate(cert, report.relator_words, word, X.rank)
-               for word, cert in report.termination_queries)
+    return all(verify_certificate(cert, Presentation(X.rank, relators), (g + 1,))
+               for g, cert in enumerate(report.generator_certificates))

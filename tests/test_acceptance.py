@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from covspec import (
     MetricGraph,
+    Presentation,
     closure,
     covering_spectrum,
     covering_spectrum_lattice,
@@ -133,7 +134,7 @@ def test_criterion_4_minimal_loop_table(fano_run):
     expected = expected_length_multiset(LA, LB)
     ok = True
     for X, table in ((X1, X1_MINIMAL_LOOPS), (X2, X2_MINIMAL_LOOPS)):
-        classes = enumerate_classes(X, cutoff, strict=True)
+        classes = enumerate_classes(X, cutoff)
         ok = ok and sorted(c.length for c in classes) == expected
         words = {c.word for c in classes}
         for (a, b), name in table:
@@ -238,7 +239,7 @@ def test_criterion_7e_oracle_vs_coset_tables():
         target = cyclic_reduce(
             tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(1, 6)))
         )
-        cert = decide_membership(rels, target, rank=2)
+        cert = decide_membership(Presentation(2, rels), target)
         exact = table.trace(target) == 0
         ok = ok and cert.verdict != "undecided" and (cert.verdict == "member") == exact
     report(

@@ -1,8 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
+from time import perf_counter
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from covspec import ColoredGraph, Edge, cli, graph_to_json
 from covspec.cli import main
@@ -18,6 +26,17 @@ def wedge_json(tmp_path, name="wedge.json"):
     graph = ColoredGraph(["v"], [Edge(0, 0, 0, "A"), Edge(1, 0, 0, "B")], ["A", "B"])
     path = tmp_path / name
     path.write_text(graph_to_json(graph, {"A": "2/1", "B": "3/1"}))
+    return path
+
+
+def theta_json(tmp_path, name="theta.json"):
+    graph = ColoredGraph(
+        ["u", "v"],
+        [Edge(0, 0, 1, "A"), Edge(1, 0, 1, "B"), Edge(2, 1, 0, "C")],
+        ["A", "B", "C"],
+    )
+    path = tmp_path / name
+    path.write_text(graph_to_json(graph, {"A": "1/1", "B": "2/1", "C": "5/2"}))
     return path
 
 
@@ -227,6 +246,16 @@ class TestTorusCommand:
         code, _, _ = run_cli(capsys, "torus", "--basis", "a b; c d")
         assert code == 3
 
+    def test_thin_torus_stops_at_the_vector_cap(self, capsys):
+        # about 2 * 10^5 short vectors lie in the span of (0, 1) before
+        # (100000, 0) is reached
+        start = perf_counter()
+        code, out, err = run_cli(capsys, "torus", "--basis", "100000 0; 0 1")
+        assert perf_counter() - start < 10
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceeds cap" in err
+
 
 class TestReproCommand:
     def test_small_run(self, capsys):
@@ -323,3 +352,115 @@ def test_bad_input_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, ar
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# sha256 of the stdout of fixed runs: the output bytes are part of the
+# interface, so a change that moves any of them must update this table
+GOLDEN_STDOUT = [
+    (["fano", "--explain"],
+     "9d06ca49a52c20feadc715d0b6e78e51c8e60ce66416fdcca3c84e6f17fb21b6"),
+    (["fano", "--explain", "--la", "2", "--lb", "9/4"],
+     "6e7b1b6b4be4df0e9e8818a124e4850734422151c345833889e2df6a68f0c362"),
+    (["repro"], "aa06a107c327916a85baad093baf91f73b8ee882c3b4921459f31bdb1f6f2942"),
+    (["triple"], "eff8a2173e64f2012520ead5ae74adbdd898cdf1da52ce0ef74b4c04fc55b81c"),
+    (["torus", "--basis", "2 1; 0 3"],
+     "33d2c5e8a3d8b612d4eba7a055b5075b6649fd344abbbbb3994ba9226ead3f11"),
+    (["covspec", "--input", "wedge.json", "--explain"],
+     "588f0ba61cfab6dbcfbdd475c837d270c6eaa11b5051c1559469c0ffc1df7999"),
+    (["covspec", "--input", "theta.json", "--explain"],
+     "1bed423b80e7091b18dd19617337645a1a87fd669af47aa7f6f7be812bd15058"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT, ids=[" ".join(a) for a, _ in GOLDEN_STDOUT])
+def test_stdout_bytes_match_the_recorded_digest(tmp_path, capsys, monkeypatch, argv, digest):
+    wedge_json(tmp_path)
+    theta_json(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("COVSPEC_BUDGET", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_exhausted_budget_message(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    wedge_json(tmp_path)
+    code, out, err = run_cli(capsys, "covspec", "--input", "wedge.json", "--budget", "5/2")
+    assert (code, out, err) == (2, "", "error: no saturation up to the budget 5/2\n")
+
+
+# ---------------------------------------------------------------------------
+# exit codes on generated inputs
+
+_LENGTHS = st.sampled_from(["1", "2", "3/2", "5/2", "1/3"])
+_BAD_LENGTHS = st.sampled_from(["0", "-1", "x", "1/0", ""])
+
+
+def _sometimes_bad(draw, good, bad):
+    """A draw from good, or from bad about one time in eight."""
+    return draw(bad) if draw(st.integers(0, 7)) == 0 else draw(good)
+
+
+@st.composite
+def _graph_argv(draw):
+    n = draw(st.integers(1, 3))
+    ends = st.integers(0, n - 1)
+    # a path through the vertices keeps most graphs connected
+    pairs = [(v - 1, v) for v in range(1, n)]
+    pairs += [(draw(ends), draw(ends)) for _ in range(draw(st.integers(0, 3)))]
+    edges = [
+        {"id": i, "from": _sometimes_bad(draw, st.just(a), st.sampled_from([-1, n, 0.5])),
+         "to": b, "color": draw(st.sampled_from("ABC"))}
+        for i, (a, b) in enumerate(pairs)
+    ]
+    colors = {e["color"] for e in edges} | draw(st.sets(st.sampled_from("ABC"), max_size=1))
+    doc = {"vertices": [f"v{i}" for i in range(n)], "edges": edges,
+           "lengths": {c: _sometimes_bad(draw, _LENGTHS, _BAD_LENGTHS) for c in sorted(colors)}}
+    if draw(st.integers(0, 9)) == 0:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    argv = ["covspec", "--input", "graph.json"]
+    if draw(st.booleans()):
+        argv.append("--explain")
+    if draw(st.booleans()):
+        argv += ["--budget", _sometimes_bad(draw, _LENGTHS, _BAD_LENGTHS)]
+    return {"graph.json": json.dumps(doc)}, argv
+
+
+@st.composite
+def _torus_argv(draw):
+    n = draw(st.integers(1, 3))
+    entries = st.sampled_from(["0", "1", "-1", "2", "3", "3/2", "-2/3", "7"])
+    width = _sometimes_bad(draw, st.just(n), st.sampled_from([n - 1, n + 1]))
+    rows = [" ".join(_sometimes_bad(draw, entries, st.just("x")) for _ in range(width))
+            for _ in range(n)]
+    return {}, ["torus", "--basis", "; ".join(rows)]
+
+
+@st.composite
+def _triple_argv(draw):
+    degree = draw(st.integers(1, 4))
+    perms = st.permutations(range(degree)).map(lambda p: " ".join(map(str, p)))
+    broken = st.sampled_from(["", "0 0", "y", " ".join(map(str, range(degree + 1)))])
+    gens = [_sometimes_bad(draw, perms, broken) for _ in range(draw(st.integers(1, 2)))]
+    # subgroup generators are mostly group generators, so most triples are valid
+    files = {"g.txt": "\n".join(gens) + "\n"}
+    for name in ("h1.txt", "h2.txt"):
+        files[name] = _sometimes_bad(draw, st.sampled_from(gens), perms) + "\n"
+    return files, ["triple", "--group", "g.txt", "--h1", "h1.txt", "--h2", "h2.txt"]
+
+
+@given(st.one_of(_graph_argv(), _torus_argv(), _triple_argv()))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_generated_inputs_exit_with_a_documented_code(case):
+    files, argv = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, text in files.items():
+            Path(name).write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("error:") <= 1
+    assert (code == 0) == (err.getvalue() == "")

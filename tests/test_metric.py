@@ -178,11 +178,6 @@ class TestEnumeration:
         got = {c.word: c.length for c in enumerate_classes(x1, budget)}
         assert got == classes_by_walks(x1, budget)
 
-    def test_strictness(self, wedge23):
-        strict = enumerate_classes(wedge23, Fraction(4), strict=True)
-        closed = enumerate_classes(wedge23, Fraction(4), strict=False)
-        assert {c.length for c in closed} - {c.length for c in strict} == {4}
-
     def test_distinct_lengths_below_cutoff(self, x1):
         lengths = sorted({c.length for c in enumerate_classes(x1, CUTOFF)})
         assert lengths == [
@@ -245,12 +240,11 @@ class TestEnumeration:
         graph = cayley_graph([("A", Permutation(perms[0])), ("B", Permutation(perms[1]))])
         assume(graph.is_connected())
         X = MetricGraph(graph, dict(zip("AB", lengths)))
-        for strict in (True, False):
-            classes = enumerate_classes(X, budget, strict=strict)
-            assert classes == sorted(classes)
-            got = {c.word: c.length for c in classes}
-            assert len(got) == len(classes)
-            assert got == classes_by_walks(X, budget, strict=strict)
+        classes = enumerate_classes(X, budget)
+        assert classes == sorted(classes)
+        got = {c.word: c.length for c in classes}
+        assert len(got) == len(classes)
+        assert got == classes_by_walks(X, budget)
 
 
 class TestFreeWordRewriting:

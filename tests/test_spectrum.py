@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from covspec import (
     ColoredGraph,
+    CyclicWord,
     IntLattice,
+    MarkedClass,
     MetricGraph,
     cayley_graph,
     covering_spectrum,
@@ -59,12 +61,12 @@ class _LatticeOracle:
 class TestJumpSet:
     def test_single_value(self):
         oracle = _LatticeOracle(1)
-        jumps, wits, last = jump_set([(Fraction(5), [1])], oracle)
+        jumps, last = jump_set([(Fraction(5), [1])], oracle)
         assert jumps == [Fraction(5)] and last == Fraction(5)
 
     def test_multiples_generate_nothing_new(self):
         items = [(Fraction(k), [k]) for k in (2, 4, 6, 8)]
-        jumps, _, _ = jump_set(items, _LatticeOracle(1))
+        jumps, _ = jump_set(items, _LatticeOracle(1))
         assert jumps == [Fraction(2)]
 
     def test_rectangular_lattice(self):
@@ -75,13 +77,13 @@ class TestJumpSet:
                     q = Fraction(4 * a * a + 9 * b * b)
                     items.append((q, [a, b]))
         items.sort(key=lambda t: t[0])
-        jumps, _, _ = jump_set(items, _LatticeOracle(2))
+        jumps, _ = jump_set(items, _LatticeOracle(2))
         assert jumps == [Fraction(4), Fraction(9)]  # squared norms 2^2, 3^2
 
     def test_same_level_tested_before_added(self):
         # two equal vectors at one level: only one jump, not two
         items = [(Fraction(1), [1]), (Fraction(1), [-1]), (Fraction(4), [2])]
-        jumps, _, _ = jump_set(items, _LatticeOracle(1))
+        jumps, _ = jump_set(items, _LatticeOracle(1))
         assert jumps == [Fraction(1)]
 
     def test_stops_at_saturation(self):
@@ -92,9 +94,8 @@ class TestJumpSet:
                 yield Fraction(k), [k]
                 k += 1
 
-        jumps, wits, last = jump_set(endless(), _LatticeOracle(1))
-        assert jumps == [Fraction(2), Fraction(3)] and wits == [[2], [3]]
-        assert last == Fraction(3)
+        jumps, last = jump_set(endless(), _LatticeOracle(1))
+        assert jumps == [Fraction(2), Fraction(3)] and last == Fraction(3)
 
     def test_unsorted_items_rejected(self):
         items = [(Fraction(4), [4]), (Fraction(2), [2])]
@@ -193,13 +194,27 @@ class TestGraphSpectra:
         assert report.processed_to < Fraction(40)
 
     def test_jump_records_follow_witness_queries(self, fano_run):
+        # a level's querying stops at its first non-member, which is the
+        # last query of the level and its jump witness
         X1, _, r1, _, _, _ = fano_run(LA, LB)
+        assert r1.jumps
         for j in r1.jumps:
-            q = next(q for q in r1.queries if q.target_loop == j.witness)
-            assert q.certificate.verdict == "non_member"
-            assert (q.length, q.target_name, q.certificate) == (
-                j.value, j.witness_name, j.certificate
-            )
+            assert j.certificate.verdict == "non_member"
+            level = [q for q in r1.queries if q.length == j.length]
+            assert level[-1] is j
+
+    def test_replay_rejects_an_inconsistent_report(self, theta_graph):
+        # the checker rewrites every loop itself, so a loop that does not
+        # close in the graph, or a query that names relators the report
+        # lacks, fails replay
+        for tamper in (
+            lambda r: r.classes.__setitem__(0, MarkedClass(Fraction(1), CyclicWord([0]))),
+            lambda r: setattr(r.queries[-1], "relator_count", len(r.classes) + 1),
+        ):
+            _, report = covering_spectrum(theta_graph)
+            assert report.verify_all_certificates(theta_graph)
+            tamper(report)
+            assert not report.verify_all_certificates(theta_graph)
 
     def test_undecided_oracle_aborts(self, wedge23, monkeypatch):
         from covspec import spectrum as spectrum_mod
@@ -350,7 +365,7 @@ def full_report(X):
         spectrum, report = covering_spectrum(X)
     except UndecidedOracleError as err:
         return "undecided", err.length, err.target_name, err.certificate
-    queries = [(q.length, q.target_name, q.word, q.relator_count, q.certificate)
+    queries = [(q.length, q.target_name, q.target_loop, q.relator_count, q.certificate)
                for q in report.queries]
     replays = report.verify_all_certificates(X), replay_stateless(report, X)
     return spectrum, queries, report.termination, report.processed_to, replays
@@ -392,7 +407,7 @@ class TestSharedPresentation:
         assert report.termination["mode"] == "quotient_enumerated"
         keys = {(q.relator_count, q.certificate.evidence["cap"]) for q in report.queries
                 if q.certificate.tier == "coset_enumeration"}
-        keys.add((len(report.relator_words), 3000))
+        keys.add((len(report.classes), 3000))
         calls = []
         inner = words_mod.todd_coxeter
 
