@@ -9,14 +9,11 @@ and checks the Gassmann-Sunada and jump-equivalence conditions.
 from .graphs import (
     ColoredGraph,
     Edge,
-    action_is_free,
     cayley_graph,
     color_isomorphism,
     export_dot,
     graph_from_json,
     graph_to_json,
-    left_action_permutations,
-    regular_cayley_graph,
     schreier_graph,
     surface_genus,
 )
@@ -46,7 +43,6 @@ from .metric import (
     format_rational,
     iter_classes,
     loop_to_free_word,
-    marked_length,
     parse_loop,
     parse_rational,
     render_loop,
@@ -66,7 +62,6 @@ from .words import (
     MembershipCertificate,
     Presentation,
     abelian_nonmember,
-    canonical_cyclic_word,
     contraction_nonmember,
     coset_membership,
     cyclic_reduce,

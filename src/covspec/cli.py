@@ -6,7 +6,8 @@ inputs produce byte-identical output.
 
 Exit codes: 0 pass, 1 assertion failure, 2 undecided oracle, exhausted
 budget or exceeded cap, 3 input error (bad arguments or file contents, or a
-file that cannot be read or written).
+file that cannot be read or written), 141 stdout closed by its reader
+(the status a shell reports for a writer killed by SIGPIPE; no message).
 
 Graph spectra walk marked lengths in increasing order and stop once the
 normal closure of the classes walked is the whole fundamental group.
@@ -60,6 +61,7 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_UNDECIDED = 2
 EXIT_INPUT = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _emit(doc: dict) -> None:
@@ -334,10 +336,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows up here, not at exit
+        return code
     except (UndecidedOracleError, BudgetExhaustedError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
+    except BrokenPipeError:
+        # the flush at interpreter exit would fail again on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

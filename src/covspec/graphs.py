@@ -84,23 +84,6 @@ class ColoredGraph:
         """Edge set as (origin label, target label, color) triples."""
         return {(self.vertices[e.origin], self.vertices[e.target], e.color) for e in self.edges}
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj: dict[int, set[int]] = {v: set() for v in range(len(self.vertices))}
-        for e in self.edges:
-            adj[e.origin].add(e.target)
-            adj[e.target].add(e.origin)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ColoredGraph)
@@ -136,18 +119,6 @@ def cayley_graph(
     graph = ColoredGraph(vertex_labels, edges, [c for c, _ in perms])
     graph.check_cayley_regular()
     return graph
-
-
-def regular_cayley_graph(G: FiniteGroup, gens: Sequence[tuple[str, Permutation]]) -> ColoredGraph:
-    """Cayley graph of G acting on itself by right multiplication."""
-    perms = []
-    for color, s in gens:
-        if s not in G:
-            raise ValueError(f"generator {color} not in group")
-        k = G.index[s.images]
-        perms.append((color, Permutation([G.product(i, k) for i in range(G.order)])))
-    labels = [f"g{i}" for i in range(G.order)]
-    return cayley_graph(perms, labels)
 
 
 def schreier_graph(
@@ -229,43 +200,6 @@ def _is_color_iso(g1: ColoredGraph, g2: ColoredGraph, vmap: Sequence[int]) -> bo
     return want == have
 
 
-def is_color_automorphism(graph: ColoredGraph, p: Permutation) -> bool:
-    """Does the vertex permutation commute with every colored successor map?"""
-    if p.degree != graph.vertex_count:
-        return False
-    for e in graph.edges:
-        if graph.out_edge(p(e.origin), e.color).target != p(e.target):
-            return False
-    return True
-
-
-def action_is_free(graph: ColoredGraph, perms: Sequence[Permutation]) -> bool:
-    """True iff none of the given automorphisms fixes a vertex or an edge.
-
-    ``perms`` are the images of the non-identity group elements, so an
-    element acting by the identity permutation (trivially) makes the action
-    non-free.  Colors and orientations are preserved, so an edge can never
-    map to its own reverse and fixed points in edge interiors are ruled
-    out along with fixed edges.
-    """
-    for p in perms:
-        if not is_color_automorphism(graph, p):
-            raise ValueError("permutation is not a color-preserving automorphism")
-        if any(p(v) == v for v in range(graph.vertex_count)):
-            return False
-        for e in graph.edges:
-            if p(e.origin) == e.origin and p(e.target) == e.target:
-                return False
-    return True
-
-
-def left_action_permutations(G: FiniteGroup) -> list[Permutation]:
-    """G acting on the vertices of its own Cayley graph by left multiplication."""
-    return [
-        Permutation([G.product(g, i) for i in range(G.order)]) for g in range(G.order)
-    ]
-
-
 def surface_genus(vertex_count: int, base_genus: int, handle_count: int) -> int:
     """Genus of the surface glued from one handled building block per vertex."""
     if vertex_count < 0 or base_genus < 0:
@@ -278,10 +212,10 @@ def surface_genus(vertex_count: int, base_genus: int, handle_count: int) -> int:
 _DOT_STYLES = ("dotted", "solid", "dashed", "bold")
 
 
-def export_dot(graph: ColoredGraph, name: str = "G") -> str:
+def export_dot(graph: ColoredGraph) -> str:
     """Deterministic DOT text; the first color renders dotted, the second solid."""
     style = {c: _DOT_STYLES[i % len(_DOT_STYLES)] for i, c in enumerate(graph.colors)}
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph G {"]
     for i, lbl in enumerate(graph.vertices):
         lines.append(f'  v{i} [label="{lbl}"];')
     for e in graph.edges:

@@ -5,7 +5,7 @@ elements by default), so closure enumeration and conjugacy classes are
 computed by breadth-first search rather than stabilizer chains.  Once a
 group is closed, its element list fixes an index for every element, and
 everything computed inside it (generated subgroups, conjugacy classes,
-conjugate subgroups, Cayley and Schreier graphs) runs in that index space:
+conjugate subgroups, Schreier graphs) runs in that index space:
 a product is composed as a raw image tuple and looked up in the group's
 one image -> index map, so no ``Permutation`` is built or validated per
 product.  ``closure`` searches on image tuples the same way.
@@ -173,9 +173,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def element_list(self) -> list[Permutation]:
-        return [self.parent.elements[i] for i in sorted(self.members)]
 
     def is_closed(self) -> bool:
         """Full closure check; constructions in this module satisfy it.
@@ -391,23 +388,6 @@ class GF2Matrix:
         """Row vector times matrix."""
         n = self.n
         return tuple(sum(v[i] * self.rows[i][j] for i in range(n)) % 2 for j in range(n))
-
-    def det(self) -> int:
-        # Gaussian elimination over GF(2)
-        rows = [list(r) for r in self.rows]
-        n = self.n
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if rows[r][col]), None)
-            if pivot is None:
-                return 0
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            for r in range(n):
-                if r != col and rows[r][col]:
-                    rows[r] = [(a + b) % 2 for a, b in zip(rows[r], rows[col])]
-        return 1
-
-    def is_invertible(self) -> bool:
-        return self.det() == 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GF2Matrix) and self.rows == other.rows

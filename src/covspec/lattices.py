@@ -80,6 +80,3 @@ class IntLattice:
 
     def contains_all(self, vecs: Iterable[Sequence[int]]) -> bool:
         return all(self.contains(v) for v in vecs)
-
-    def rank(self) -> int:
-        return len(self.rows)

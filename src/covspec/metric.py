@@ -91,11 +91,6 @@ class CyclicWord:
     def __len__(self) -> int:
         return len(self.darts)
 
-    @property
-    def letters(self) -> tuple[tuple[int, int], ...]:
-        """(edge id, +1/-1) pairs."""
-        return tuple((dart_edge(d), 1 if d % 2 == 0 else -1) for d in self.darts)
-
     def inverse(self) -> "CyclicWord":
         return CyclicWord([dart_reverse(d) for d in reversed(self.darts)])
 
@@ -142,14 +137,10 @@ class MetricGraph:
             if missing:
                 raise ValueError(f"no length for colors {missing}")
             per_edge = [Fraction(lengths[e.color]) for e in graph.edges]
-            self.color_lengths: dict[str, Fraction] | None = {
-                c: Fraction(q) for c, q in lengths.items()
-            }
         else:
             per_edge = [Fraction(q) for q in lengths]
             if len(per_edge) != graph.edge_count:
                 raise ValueError("per-edge length list has wrong size")
-            self.color_lengths = None
         if any(q <= 0 for q in per_edge):
             raise ValueError("edge lengths must be positive")
         self.edge_lengths = per_edge
@@ -237,9 +228,6 @@ class MetricGraph:
             out.append(sum((self.dart_length(d) for d in loop), Fraction(0)))
         return out
 
-    def word_length(self, word: CyclicWord) -> Fraction:
-        return sum((self.dart_length(d) for d in word.darts), Fraction(0))
-
 
 def check_closed_loop(X: MetricGraph, darts: Sequence[int]) -> None:
     """Raise unless consecutive darts chain and the path closes up."""
@@ -247,12 +235,6 @@ def check_closed_loop(X: MetricGraph, darts: Sequence[int]) -> None:
         nxt = darts[(i + 1) % len(darts)]
         if X.dart_target(d) != X.dart_origin(nxt):
             raise ValueError("darts do not form a closed loop in this graph")
-
-
-def marked_length(X: MetricGraph, word: CyclicWord) -> Fraction:
-    """Length of the geodesic representative, i.e. the sum of its edge lengths."""
-    check_closed_loop(X, word.darts)
-    return X.word_length(word)
 
 
 def iter_classes(X: MetricGraph, cap: int = DEFAULT_CLASS_CAP) -> Iterator[MarkedClass]:

@@ -39,6 +39,7 @@ from .words import (
     UNDECIDED,
     MembershipCertificate,
     Presentation,
+    coset_certificate,
     decide_membership,
     syntactic_member,
     todd_coxeter,
@@ -144,9 +145,6 @@ class FiltrationReport:
     def realized_lengths(self) -> list[Fraction]:
         return sorted({c.length for c in self.classes})
 
-    def jump_values(self) -> list[Fraction]:
-        return [q.length for q in self.jumps]
-
     def verify_all_certificates(self, X: MetricGraph) -> bool:
         """Replay every certificate with the checker's own presentation,
         rewriting every relator and target loop in X afresh."""
@@ -219,17 +217,10 @@ class _NormalClosureOracle:
         if not all(inside):
             return False
         # one bounded enumeration can settle all generators at once
-        table = todd_coxeter(self.presentation.relators, rank, cap=3000)
+        cap = 3000
+        table = todd_coxeter(self.presentation.relators, rank, cap=cap)
         if table.complete and all(table.trace((g + 1,)) == 0 for g in range(rank)):
-            certs[:] = [
-                MembershipCertificate(
-                    MEMBER,
-                    "coset_enumeration",
-                    {"complete": True, "cap": 3000, "table_size": table.size,
-                     "target_coset": 0},
-                )
-                for _ in range(rank)
-            ]
+            certs[:] = [coset_certificate(table, cap, 0) for _ in range(rank)]
             self.report.mode = "quotient_enumerated"
             return True
         return False

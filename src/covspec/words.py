@@ -59,14 +59,6 @@ def least_rotation(word: tuple, inverse: tuple) -> tuple:
     return min(w[i:] + w[:i] for w in (word, inverse) for i in range(len(w)))
 
 
-def canonical_cyclic_word(word: Sequence[int]) -> FreeWord:
-    """Least rotation over the cyclic reduction and its inverse."""
-    w = cyclic_reduce(word)
-    if not w:
-        return w
-    return least_rotation(w, word_inverse(w))
-
-
 # search limits of the syntactic tier: relator forms peeled off a target,
 # and the length of the target prefixes and suffixes that conjugate them
 SYNTACTIC_TERMS = 3
@@ -426,25 +418,23 @@ def coset_membership(
     valid, so a fully defined trace landing on 0 still certifies
     membership; anything else is inconclusive.
     """
-    target = free_reduce(target)
     result = pres.coset_table(cap)
-    end = result.trace(target)
-    if result.complete:
-        verdict = MEMBER if end == 0 else NON_MEMBER
-        return MembershipCertificate(
-            verdict,
-            "coset_enumeration",
-            {"complete": True, "cap": cap, "table_size": result.size, "target_coset": end},
-        )
-    if end == 0:
-        # positive deductions are valid even before completion: any trace
-        # reaching coset 0 proves the traced word lies in the closure
-        return MembershipCertificate(
-            MEMBER,
-            "coset_enumeration",
-            {"complete": False, "cap": cap, "table_size": result.size, "target_coset": 0},
-        )
-    return None
+    return coset_certificate(result, cap, result.trace(free_reduce(target)))
+
+
+def coset_certificate(
+    table: CosetTable, cap: int, end: int | None
+) -> MembershipCertificate | None:
+    """The certificate of a target that ``table``, enumerated at ``cap``,
+    traces to coset ``end``, or None if an incomplete table left it
+    short of coset 0."""
+    if not (table.complete or end == 0):
+        return None
+    return MembershipCertificate(
+        MEMBER if end == 0 else NON_MEMBER,
+        "coset_enumeration",
+        {"complete": table.complete, "cap": cap, "table_size": table.size, "target_coset": end},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ oracles keep the group layer's first, index-free paths, multiplying with
 ``Permutation`` breadth-first search, conjugacy classes by
 ``conjugate_by`` flood fill, regular Cayley graphs and the left action
 element by element, and jump equivalence by the unmemoised pattern loop
-with a quadratic witness search.  The membership oracle is kept stateless,
+with a quadratic witness search.  ``action_is_free`` checks the covering
+argument: G acts freely on its Cayley graph from the left.  The membership oracle is kept stateless,
 rebuilding everything it reads from the raw relators on every query.
 """
 
@@ -251,6 +252,36 @@ def left_action_by_products(G) -> list[Permutation]:
     return [
         Permutation([G.index[(g * x).images] for x in G.elements]) for g in G.elements
     ]
+
+
+def is_color_automorphism(graph: ColoredGraph, p: Permutation) -> bool:
+    """Does the vertex permutation commute with every colored successor map?"""
+    if p.degree != graph.vertex_count:
+        return False
+    for e in graph.edges:
+        if graph.out_edge(p(e.origin), e.color).target != p(e.target):
+            return False
+    return True
+
+
+def action_is_free(graph: ColoredGraph, perms) -> bool:
+    """True iff none of the given automorphisms fixes a vertex or an edge.
+
+    ``perms`` are the images of the non-identity group elements, so an
+    element acting by the identity permutation (trivially) makes the action
+    non-free.  Colors and orientations are preserved, so an edge can never
+    map to its own reverse and fixed points in edge interiors are ruled
+    out along with fixed edges.
+    """
+    for p in perms:
+        if not is_color_automorphism(graph, p):
+            raise ValueError("permutation is not a color-preserving automorphism")
+        if any(p(v) == v for v in range(graph.vertex_count)):
+            return False
+        for e in graph.edges:
+            if p(e.origin) == e.origin and p(e.target) == e.target:
+                return False
+    return True
 
 
 def subgroup_by_closure(G, gens) -> frozenset[int]:

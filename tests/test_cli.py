@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
@@ -388,6 +391,23 @@ def test_exhausted_budget_message(tmp_path, capsys, monkeypatch):
     wedge_json(tmp_path)
     code, out, err = run_cli(capsys, "covspec", "--input", "wedge.json", "--budget", "5/2")
     assert (code, out, err) == (2, "", "error: no saturation up to the budget 5/2\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_without_a_message(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # the read end is closed before the spawn, so every write fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "covspec.cli", "triple"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 # ---------------------------------------------------------------------------

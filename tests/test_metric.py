@@ -17,11 +17,10 @@ from covspec import (
     enumerate_classes,
     format_rational,
     loop_to_free_word,
-    marked_length,
     parse_loop,
     parse_rational,
-    regular_cayley_graph,
     render_loop,
+    word_inverse,
 )
 from covspec.fano_data import (
     X1_MINIMAL_LOOPS,
@@ -29,11 +28,16 @@ from covspec.fano_data import (
     expected_length_multiset,
 )
 from covspec.metric import dart_reverse
+from covspec.words import least_rotation
 
-from oracles import classes_by_walks
+from oracles import classes_by_walks, regular_cayley_by_products
 
 LA, LB = Fraction(2), Fraction(5, 2)
 CUTOFF = LA + 2 * LB
+
+
+def loop_length(X, word):
+    return sum((X.dart_length(d) for d in word.darts), Fraction(0))
 
 
 @pytest.fixture()
@@ -70,7 +74,7 @@ class TestMetricGraph:
         assert len(x1.spanning_tree) == 6
 
     def test_full_cayley_rank(self, fano):
-        graph = regular_cayley_graph(
+        graph = regular_cayley_by_products(
             fano.group, [(n, fano.point_perms[n]) for n in fano.generator_names]
         )
         X = MetricGraph(graph, {"A": LA, "B": LB})
@@ -139,11 +143,11 @@ class TestCyclicWord:
 class TestMarkedLength:
     def test_single_loop(self, x1):
         word = parse_loop(x1, "A[011]")
-        assert marked_length(x1, word) == LA
+        assert loop_length(x1, word) == LA
 
     def test_three_edge_loop(self, x1):
         word = parse_loop(x1, "A[110]*A[111]*B[101]")
-        assert marked_length(x1, word) == 2 * LA + LB
+        assert loop_length(x1, word) == 2 * LA + LB
 
     def test_parse_rejects_open_chains(self, x1):
         with pytest.raises(ValueError):
@@ -198,7 +202,7 @@ class TestEnumeration:
             for (a, b), name in table:
                 word = parse_loop(X, name)  # canonical: rotation/inversion safe
                 assert word in words
-                assert marked_length(X, word) == a * LA + b * LB
+                assert loop_length(X, word) == a * LA + b * LB
 
     def test_lengths_are_dart_sums(self, x1):
         for c in enumerate_classes(x1, CUTOFF):
@@ -238,8 +242,10 @@ class TestEnumeration:
     )
     def test_random_schreier_graphs_against_walk_oracle(self, perms, lengths, budget):
         graph = cayley_graph([("A", Permutation(perms[0])), ("B", Permutation(perms[1]))])
-        assume(graph.is_connected())
-        X = MetricGraph(graph, dict(zip("AB", lengths)))
+        try:
+            X = MetricGraph(graph, dict(zip("AB", lengths)))
+        except ValueError:  # a disconnected graph
+            assume(False)
         classes = enumerate_classes(X, budget)
         assert classes == sorted(classes)
         got = {c.word: c.length for c in classes}
@@ -270,8 +276,7 @@ class TestFreeWordRewriting:
             loop_to_free_word(x1, [x1.generator_loop(0)[0]])
 
     def test_distinct_classes_distinct_words(self, x1):
-        from covspec import canonical_cyclic_word
-
         classes = enumerate_classes(x1, CUTOFF)
-        words = {canonical_cyclic_word(loop_to_free_word(x1, c.word)) for c in classes}
+        free_words = [loop_to_free_word(x1, c.word) for c in classes]
+        words = {least_rotation(w, word_inverse(w)) for w in free_words}
         assert len(words) == len(classes)

@@ -107,17 +107,17 @@ class TestGraphSpectra:
     def test_wedge(self, wedge23):
         spectrum, report = covering_spectrum(wedge23)
         assert list(spectrum.values) == [Fraction(1), Fraction(3, 2)]
-        assert report.jump_values() == [Fraction(2), Fraction(3)]
+        assert [q.length for q in report.jumps] == [Fraction(2), Fraction(3)]
         assert report.verify_all_certificates(wedge23)
 
     def test_wedge_first_jump_is_shortest_class(self, wedge23):
         _, report = covering_spectrum(wedge23)
         shortest = min(c.length for c in enumerate_classes(wedge23, Fraction(10)))
-        assert report.jump_values()[0] == shortest
+        assert report.jumps[0].length == shortest
 
     def test_jumps_strictly_increasing(self, fano_run):
         for report in (fano_run(LA, LB)[2], fano_run(LA, LB)[5]):
-            vals = report.jump_values()
+            vals = [q.length for q in report.jumps]
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_fano_spectra(self, fano_run):
@@ -126,7 +126,7 @@ class TestGraphSpectra:
         assert list(s2.values) == X2_SPECTRUM
         assert Fraction(13, 4) in s1 and Fraction(13, 4) not in s2
         for s, r in ((s1, r1), (s2, r2)):
-            assert list(s.values) == [j / 2 for j in r.jump_values()]
+            assert list(s.values) == [q.length / 2 for q in r.jumps]
 
     def test_fano_second_length_pair(self, fano_run):
         _, s1, _, _, s2, _ = fano_run(Fraction(2), Fraction(9, 4))
@@ -238,7 +238,7 @@ class TestGraphSpectra:
         # <m < L> and <m <= L> coincide; jumps are exactly the levels
         # where they do not
         _, s1, r1, _, _, _ = fano_run(LA, LB)
-        jump_levels = set(r1.jump_values())
+        jump_levels = {q.length for q in r1.jumps}
         for L in r1.realized_lengths():
             queried = [q for q in r1.queries if q.length == L]
             outside = any(q.certificate.verdict == "non_member" for q in queried)
