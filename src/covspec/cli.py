@@ -35,9 +35,11 @@ from .graphs import (
     surface_genus,
 )
 from .groups import (
+    FANO_LABELS,
     CapExceededError,
     closure,
     fano_actions,
+    fano_generators,
     is_gassmann_sunada,
     is_jump_equivalent,
     load_generators,
@@ -112,16 +114,15 @@ def cmd_covspec(args) -> int:
     return EXIT_OK
 
 
+def _fano_graph(perms: dict):
+    """The Schreier graph of GL(3,2) on one Fano action, from its generators alone."""
+    return cayley_graph(list(perms.items()), list(FANO_LABELS))
+
+
 def _fano_metric_graphs(la: Fraction, lb: Fraction):
-    acts = fano_actions()
-    g1 = cayley_graph(
-        [(n, acts.point_perms[n]) for n in acts.generator_names], list(acts.labels)
-    )
-    g2 = cayley_graph(
-        [(n, acts.line_perms[n]) for n in acts.generator_names], list(acts.labels)
-    )
+    point, line = fano_generators()
     lengths = {"A": la, "B": lb}
-    return MetricGraph(g1, lengths), MetricGraph(g2, lengths)
+    return MetricGraph(_fano_graph(point), lengths), MetricGraph(_fano_graph(line), lengths)
 
 
 def run_fano(la: Fraction, lb: Fraction, explain: bool = False) -> dict:
@@ -271,11 +272,8 @@ def cmd_repro(args) -> int:
 
 def cmd_export_dot(args) -> int:
     if args.fano:
-        acts = fano_actions()
-        perms = acts.point_perms if args.fano == "points" else acts.line_perms
-        graph = cayley_graph(
-            [(n, perms[n]) for n in acts.generator_names], list(acts.labels)
-        )
+        point, line = fano_generators()
+        graph = _fano_graph(point if args.fano == "points" else line)
     else:
         if not args.input:
             raise ValueError("need --input or --fano")

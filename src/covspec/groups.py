@@ -456,30 +456,39 @@ def _matrix_line_perm(M: GF2Matrix) -> Permutation:
     return Permutation(images)
 
 
-def fano_actions() -> FanoActions:
-    """Build the group generated by the two Fano point permutations.
+def fano_generators() -> tuple[dict[str, Permutation], dict[str, Permutation]]:
+    """The point and the line permutations of the generators A and B.
 
     The line action is derived from the point action through the
     orthogonality labeling rather than hard-coded, and is checked against
-    the stored golden adjacency.  ``closure`` runs on the 14-point action
-    (points 0-6, then lines shifted to 7-13); its elements split into a
-    point and a line permutation, so both actions stay aligned element by
-    element.  The point action is faithful, so distinct elements keep
-    distinct point permutations.
+    the stored golden adjacency.  No group is closed, so drawing the two
+    Fano graphs needs nothing more.
     """
     from . import fano_data
 
     mats = {"A": FANO_MATRIX_A, "B": FANO_MATRIX_B}
     point = {name: _matrix_point_perm(M) for name, M in mats.items()}
     line = {name: _matrix_line_perm(M) for name, M in mats.items()}
-    for name in ("A", "B"):
+    for name in mats:
         golden = fano_data.V2_ADJACENCY[name]
         derived = {FANO_LABELS[i]: FANO_LABELS[line[name](i)] for i in range(7)}
         if derived != golden:
             raise AssertionError(f"derived line action of {name} deviates from the golden table")
+    return point, line
 
+
+def fano_actions() -> FanoActions:
+    """Build the group generated by the two Fano point permutations.
+
+    ``closure`` runs on the 14-point action of ``fano_generators`` (points
+    0-6, then lines shifted to 7-13); its elements split into a point and
+    a line permutation, so both actions stay aligned element by element.
+    The point action is faithful, so distinct elements keep distinct point
+    permutations.
+    """
+    point, line = fano_generators()
     both = closure(
-        [Permutation(point[n].images + tuple(7 + j for j in line[n].images)) for n in mats]
+        [Permutation(point[n].images + tuple(7 + j for j in line[n].images)) for n in point]
     )
     images = [g.images for g in both.elements]
     return FanoActions(

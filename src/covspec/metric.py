@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
+from math import lcm
 from typing import Iterator, Sequence
 
 from .graphs import ColoredGraph
@@ -246,8 +247,14 @@ def iter_classes(X: MetricGraph, cap: int = DEFAULT_CLASS_CAP) -> Iterator[Marke
     start only at forward darts and never step to a smaller edge; a closed
     walk is yielded only when it is its own canonical word.  Raises
     CapExceededError on the class after the first ``cap``.
+
+    The heap holds lengths as integers in units of 1/scale, scale the lcm
+    of the edge-length denominators; scaling by a positive integer keeps
+    the order and the ties, and only a yielded class gets a Fraction.
     """
-    heap = [(X.dart_length(2 * e), (2 * e,)) for e in range(X.graph.edge_count)]
+    scale = lcm(*(q.denominator for q in X.edge_lengths))
+    units = [int(q * scale) for q in X.edge_lengths]
+    heap = [(units[e], (2 * e,)) for e in range(X.graph.edge_count)]
     heapq.heapify(heap)
     yielded = 0
     while heap:
@@ -260,10 +267,10 @@ def iter_classes(X: MetricGraph, cap: int = DEFAULT_CLASS_CAP) -> Iterator[Marke
                 yielded += 1
                 if yielded > cap:
                     raise CapExceededError(f"class count exceeds cap {cap}")
-                yield MarkedClass(length, word)
+                yield MarkedClass(Fraction(length, scale), word)
         for d in X.out_darts(v):
             if d >= first and d != dart_reverse(last):
-                heapq.heappush(heap, (length + X.dart_length(d), path + (d,)))
+                heapq.heappush(heap, (length + units[dart_edge(d)], path + (d,)))
 
 
 def enumerate_classes(

@@ -139,7 +139,7 @@ class Presentation:
         """The Todd-Coxeter table at ``cap``, kept until the relators or cap change."""
         key = (len(self.relators), cap)
         if self._table[0] != key:
-            self._table = None  # drop the old table before building the next
+            self._table = (None, None)  # drop the old table before building the next
             self._table = key, todd_coxeter(self.relators, self.rank, cap)
         return self._table[1]
 
@@ -192,22 +192,32 @@ def syntactic_member(pres: Presentation, target: Sequence[int]) -> MembershipCer
             return []
         if depth == 0:
             return None
+        n = len(w)
         for f, conj, j, exp in forms:
+            # peeling f conjugated by w[:k] (by w[k:] off the right) leaves
+            # the free reduction of w[:k] * f^-1 * w[k:]; a candidate whose
+            # two junctions cancel nothing would leave a longer word, so it
+            # is skipped before anything is built
+            first, last = f[0], f[-1]
             # peel a form off the left, conjugating by prefixes of w
-            for i in range(min(CONJUGATOR_LENGTH, len(w)) + 1):
+            for i in range(min(CONJUGATOR_LENGTH, n) + 1):
+                if not ((i < n and w[i] == first) or (i > 0 and w[i - 1] == last)):
+                    continue
                 p = w[:i]
                 t = free_reduce(p + f + word_inverse(p))
                 rest = free_reduce(word_inverse(t) + w)
-                if len(rest) < len(w):
+                if len(rest) < n:
                     tail = peel(rest, depth - 1)
                     if tail is not None:
                         return [[list(free_reduce(p + conj)), j, exp]] + tail
             # and off the right, conjugating by suffixes
-            for i in range(min(CONJUGATOR_LENGTH, len(w)) + 1):
-                s = w[len(w) - i:]
+            for i in range(min(CONJUGATOR_LENGTH, n) + 1):
+                if not ((i < n and w[n - i - 1] == last) or (i > 0 and w[n - i] == first)):
+                    continue
+                s = w[n - i:]
                 t = free_reduce(word_inverse(s) + f + s)
                 rest = free_reduce(w + word_inverse(t))
-                if len(rest) < len(w):
+                if len(rest) < n:
                     head = peel(rest, depth - 1)
                     if head is not None:
                         return head + [[list(free_reduce(word_inverse(s) + conj)), j, exp]]
@@ -229,6 +239,8 @@ def _syntactic_cert(relators, target, expr) -> MembershipCertificate:
 def _check_expression(relators, target, expr) -> bool:
     acc: tuple[int, ...] = ()
     for conj, j, exp in expr:
+        if not 0 <= j < len(relators) or 0 in conj:
+            return False
         acc = free_reduce(acc + _term_word(relators, tuple(conj), j, exp))
     return acc == free_reduce(target)
 
@@ -521,8 +533,10 @@ def verify_certificate(
 
 
 def _verify_coset_cert(cert, pres, target) -> bool:
-    size = cert.evidence["table_size"]
-    result = pres.coset_table(cert.evidence["cap"])
+    cap, size = cert.evidence["cap"], cert.evidence["table_size"]
+    if cap <= 0:
+        return False
+    result = pres.coset_table(cap)
     if result.size != size or result.complete != cert.evidence["complete"]:
         return False
     if result.trace(target) != cert.evidence["target_coset"]:

@@ -213,6 +213,12 @@ class TestCosetTier:
         with pytest.raises(ValueError):
             todd_coxeter([(1,)], 1, cap=0)
 
+    def test_a_failed_table_build_leaves_the_presentation_usable(self):
+        pres = Presentation(2, [(1,)])
+        with pytest.raises(ValueError):
+            pres.coset_table(0)
+        assert pres.coset_table(50).trace((1,)) == 0
+
     def test_fano_composite_loop_is_member(self, fano_run):
         X2 = fano_run(LA, LB)[3]
         loops, words, tl, tw = fano_relators_and_target(
@@ -369,6 +375,20 @@ class TestOracleProperties:
             cert = decide_membership(Presentation(2, rels), target, coset_cap=2000)
             assert verify_certificate(cert, Presentation(2, rels), target)
 
+    @pytest.mark.parametrize(
+        "tier, evidence",
+        [
+            ("syntactic", {"expression": [[[], 1, 1]]}),  # relator index past the end
+            ("syntactic", {"expression": [[[], -1, 1]]}),  # negative relator index
+            ("syntactic", {"expression": [[[0], 0, 1]]}),  # 0 is not a letter
+            ("coset_enumeration", {"complete": True, "cap": 0, "table_size": 1, "target_coset": 0}),
+            ("coset_enumeration", {"complete": True, "cap": -5, "table_size": 1, "target_coset": 0}),
+        ],
+    )
+    def test_malformed_certificates_are_rejected(self, tier, evidence):
+        cert = MembershipCertificate("member", tier, evidence)
+        assert not verify_certificate(cert, Presentation(2, [(1, 2)]), (1, 2))
+
 
 _letters = st.sampled_from([1, -1, 2, -2, 3, -3])
 _relators = st.lists(_letters, min_size=1, max_size=5).map(cyclic_reduce).filter(bool)
@@ -399,16 +419,38 @@ class TestPresentation:
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_tiers_match_the_stateless_oracle(self, relators, data):
         # a product of two relator forms, with letters between them or not,
-        # gives the two-form search targets with several factorisations
+        # gives the two-form search targets with several factorisations;
+        # c * f1 * c^-1 * f2 gives the peel targets it must conjugate by c
         forms = [f for f, _, _, _ in relator_forms(relators)]
         f1, f2 = data.draw(st.sampled_from(forms)), data.draw(st.sampled_from(forms))
-        target = free_reduce(f1 + tuple(data.draw(st.lists(_letters, max_size=2))) + f2)
+        c = tuple(data.draw(st.lists(_letters, max_size=2)))
+        targets = [
+            free_reduce(f1 + tuple(data.draw(st.lists(_letters, max_size=2))) + f2),
+            free_reduce(c + f1 + word_inverse(c) + f2),
+        ]
         pres = Presentation(3)
         for rel in relators:
             pres.add(rel)
-        cert = decide_membership(pres, target, coset_cap=500)
-        assert cert == decide_membership_stateless(relators, target, 3, coset_cap=500)
-        assert verify_certificate(cert, Presentation(3, relators), target)
+        for target in targets:
+            cert = decide_membership(pres, target, coset_cap=500)
+            assert cert == decide_membership_stateless(relators, target, 3, coset_cap=500)
+            assert verify_certificate(cert, Presentation(3, relators), target)
+
+    # random targets rarely make the peel's first hit cancel at one junction
+    # only, so each branch of the junction test has a target of its own
+    @pytest.mark.parametrize(
+        "relators, target",
+        [
+            ([(1,), (-2, -2)], (2, -1, 2)),  # left: w[i] == f[0]
+            ([(1, -2, 1)], (1, 2, -1, -2)),  # left: w[i - 1] == f[-1]
+            ([(-3, 1, 2), (-2, -3)], (-2, 3, 2, -1, 3)),  # right: w[n - i - 1] == f[-1]
+            ([(-2, -2, 1, 1), (2, -3)], (1, 3, -2, 1, 1, -2, -3, -2, -2, 1)),  # right: w[n - i] == f[0]
+        ],
+    )
+    def test_each_peel_junction_keeps_the_first_hit(self, relators, target):
+        cert = syntactic_member(Presentation(3, relators), target)
+        assert cert is not None
+        assert cert == syntactic_member_stateless(relators, target)
 
     def test_one_coset_table_per_relator_count_and_cap(self, monkeypatch):
         calls = []
