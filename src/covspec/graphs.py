@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .groups import FiniteGroup, Permutation, Subgroup
@@ -240,7 +241,9 @@ def graph_to_json(graph: ColoredGraph, lengths: dict[str, object] | None = None)
         ],
     }
     if lengths is not None:
-        doc["lengths"] = {c: str(q) for c, q in lengths.items()}
+        # p/q even for integers, as the schema promises
+        doc["lengths"] = {c: "{0.numerator}/{0.denominator}".format(Fraction(q))
+                          for c, q in lengths.items()}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 

@@ -6,7 +6,7 @@ tier of the word oracle and the sublattice filtration of flat tori.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -78,5 +78,7 @@ class IntLattice:
                 v[k] -= q * row[k]
         return True
 
-    def contains_all(self, vecs: Iterable[Sequence[int]]) -> bool:
-        return all(self.contains(v) for v in vecs)
+    def saturated(self) -> bool:
+        """Whether this is all of Z^n: the echelon form is triangular, so
+        its index is the product of the pivots, which are positive."""
+        return len(self.rows) == self.n and all(row[j] == 1 for j, row in self.rows.items())

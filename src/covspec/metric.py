@@ -145,80 +145,59 @@ class MetricGraph:
         if any(q <= 0 for q in per_edge):
             raise ValueError("edge lengths must be positive")
         self.edge_lengths = per_edge
-        self.root = root
 
+        # each vertex lists its out-darts in dart order, by edge id with
+        # forward first: the order the spanning tree visits them in
         n = graph.vertex_count
-        if root not in range(n):
-            raise ValueError(f"root {root!r} is not a vertex of the graph")
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
+        self.dart_origin: list[int] = [0] * (2 * graph.edge_count)
+        self.dart_target: list[int] = [0] * (2 * graph.edge_count)
         for e in graph.edges:
-            adj[e.origin].append((e.id, e.target))
-            adj[e.target].append((e.id, e.origin))
-        for v in adj:
-            adj[v].sort()
-        tree: set[int] = set()
-        parent: dict[int, tuple[int, int] | None] = {root: None}
+            self.dart_origin[2 * e.id] = self.dart_target[2 * e.id + 1] = e.origin
+            self.dart_target[2 * e.id] = self.dart_origin[2 * e.id + 1] = e.target
+        self.out_darts: list[list[int]] = [[] for _ in range(n)]
+        for d, v in enumerate(self.dart_origin):
+            self.out_darts[v].append(d)
+
+        if type(root) is not int or root not in range(n):
+            raise ValueError(f"root {root!r} is not a vertex of the graph")
+        parent: dict[int, int | None] = {root: None}  # the tree dart reaching each vertex
         frontier = [root]
         while frontier:
             nxt = []
             for v in frontier:
-                for eid, w in adj[v]:
+                for d in self.out_darts[v]:
+                    w = self.dart_target[d]
                     if w not in parent:
-                        parent[w] = (eid, v)
-                        tree.add(eid)
+                        parent[w] = d
                         nxt.append(w)
             frontier = nxt
         if len(parent) != n:
             raise ValueError("graph must be connected")
-        self.spanning_tree = frozenset(tree)
         self._parent = parent
-        self.free_generators = [e.id for e in graph.edges if e.id not in tree]
+        self.spanning_tree = frozenset(dart_edge(d) for d in parent.values() if d is not None)
+        self.free_generators = [e.id for e in graph.edges if e.id not in self.spanning_tree]
         self._gen_index = {e: k for k, e in enumerate(self.free_generators)}
-
-        self._dart_origin: list[int] = [0] * (2 * graph.edge_count)
-        self._dart_target: list[int] = [0] * (2 * graph.edge_count)
-        for e in graph.edges:
-            self._dart_origin[2 * e.id] = e.origin
-            self._dart_target[2 * e.id] = e.target
-            self._dart_origin[2 * e.id + 1] = e.target
-            self._dart_target[2 * e.id + 1] = e.origin
-        self._out_darts: list[list[int]] = [[] for _ in range(n)]
-        for d in range(2 * graph.edge_count):
-            self._out_darts[self._dart_origin[d]].append(d)
 
     @property
     def rank(self) -> int:
         return self.graph.edge_count - self.graph.vertex_count + 1
 
-    def dart_origin(self, d: int) -> int:
-        return self._dart_origin[d]
-
-    def dart_target(self, d: int) -> int:
-        return self._dart_target[d]
-
     def dart_length(self, d: int) -> Fraction:
         return self.edge_lengths[dart_edge(d)]
-
-    def out_darts(self, v: int) -> list[int]:
-        return self._out_darts[v]
 
     def tree_path_to_root(self, v: int) -> list[int]:
         """Darts walking from v up to the root inside the spanning tree."""
         out = []
-        while self._parent[v] is not None:
-            eid, p = self._parent[v]
-            if self._dart_origin[2 * eid] == v:
-                out.append(2 * eid)
-            else:
-                out.append(2 * eid + 1)
-            v = p
+        while (d := self._parent[v]) is not None:
+            out.append(dart_reverse(d))
+            v = self.dart_origin[d]
         return out
 
     def generator_loop(self, gen: int) -> list[int]:
         """Fundamental loop of a free generator, based at the root, unreduced."""
         eid = self.free_generators[gen]
-        up = self.tree_path_to_root(self._dart_origin[2 * eid])
-        down = self.tree_path_to_root(self._dart_target[2 * eid])
+        up = self.tree_path_to_root(self.dart_origin[2 * eid])
+        down = self.tree_path_to_root(self.dart_target[2 * eid])
         return [dart_reverse(d) for d in reversed(up)] + [2 * eid] + down
 
     def generator_class_lengths(self) -> list[Fraction]:
@@ -233,9 +212,9 @@ class MetricGraph:
 def check_closed_loop(X: MetricGraph, darts: Sequence[int]) -> None:
     """Raise unless consecutive darts chain and the path closes up."""
     for i, d in enumerate(darts):
-        nxt = darts[(i + 1) % len(darts)]
-        if X.dart_target(d) != X.dart_origin(nxt):
-            raise ValueError("darts do not form a closed loop in this graph")
+        j = (i + 1) % len(darts)
+        if X.dart_target[d] != X.dart_origin[darts[j]]:
+            raise ValueError(f"steps {i} and {j} do not chain")
 
 
 def iter_classes(X: MetricGraph, cap: int = DEFAULT_CLASS_CAP) -> Iterator[MarkedClass]:
@@ -254,21 +233,22 @@ def iter_classes(X: MetricGraph, cap: int = DEFAULT_CLASS_CAP) -> Iterator[Marke
     """
     scale = lcm(*(q.denominator for q in X.edge_lengths))
     units = [int(q * scale) for q in X.edge_lengths]
+    origin, target, out_darts = X.dart_origin, X.dart_target, X.out_darts
     heap = [(units[e], (2 * e,)) for e in range(X.graph.edge_count)]
     heapq.heapify(heap)
     yielded = 0
     while heap:
         length, path = heapq.heappop(heap)
         first, last = path[0], path[-1]
-        v = X.dart_target(last)
-        if v == X.dart_origin(first) and first != dart_reverse(last):
+        v = target[last]
+        if v == origin[first] and first != dart_reverse(last):
             word = CyclicWord(path)
             if word.darts == path:
                 yielded += 1
                 if yielded > cap:
                     raise CapExceededError(f"class count exceeds cap {cap}")
                 yield MarkedClass(Fraction(length, scale), word)
-        for d in X.out_darts(v):
+        for d in out_darts[v]:
             if d >= first and d != dart_reverse(last):
                 heapq.heappush(heap, (length + units[dart_edge(d)], path + (d,)))
 
@@ -337,8 +317,5 @@ def parse_loop(X: MetricGraph, text: str) -> CyclicWord:
         v = X.graph.vertex_index(label)
         edge = X.graph.out_edge(v, color)
         darts.append(2 * edge.id + (1 if inv else 0))
-    for i, d in enumerate(darts):
-        nxt = darts[(i + 1) % len(darts)]
-        if X.dart_target(d) != X.dart_origin(nxt):
-            raise ValueError(f"steps {i} and {(i + 1) % len(darts)} do not chain")
+    check_closed_loop(X, darts)
     return CyclicWord.from_path(darts)

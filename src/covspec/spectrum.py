@@ -301,21 +301,6 @@ class LatticeSpectrum:
         return out
 
 
-class _SublatticeOracle:
-    def __init__(self, n: int):
-        self.lattice = IntLattice(n)
-        self.unit_rows = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def contains(self, coeffs) -> bool:
-        return self.lattice.contains(coeffs)
-
-    def add(self, coeffs) -> None:
-        self.lattice.add(coeffs)
-
-    def saturated(self) -> bool:
-        return self.lattice.contains_all(self.unit_rows)
-
-
 def covering_spectrum_lattice(basis: Sequence[Sequence[Fraction | int]]) -> LatticeSpectrum:
     """Covering spectrum of the flat torus R^n / (Z-span of basis rows).
 
@@ -333,7 +318,7 @@ def covering_spectrum_lattice(basis: Sequence[Sequence[Fraction | int]]) -> Latt
         raise ValueError("basis must be square")
     scale = lcm(*(x.denominator for row in rows for x in row))
     M = [[int(x * scale) for x in row] for row in rows]
-    jumps_scaled, _ = jump_set(_lattice_vectors(M), _SublatticeOracle(n))
+    jumps_scaled, _ = jump_set(_lattice_vectors(M), IntLattice(n))
     s2 = Fraction(scale) ** 2
     jumps_squared = tuple(q / s2 for q in jumps_scaled)
     return LatticeSpectrum(jumps_squared, tuple(q / 4 for q in jumps_squared))

@@ -43,11 +43,17 @@ def free_reduce(word: Sequence[int]) -> FreeWord:
     return tuple(out)
 
 
+def _strip_to_cyclic(word: Sequence[int]) -> tuple[FreeWord, FreeWord]:
+    """Return (core, prefix) with word == prefix * core * prefix^-1."""
+    w = free_reduce(word)
+    k = 0
+    while len(w) - 2 * k >= 2 and w[k] == -w[-1 - k]:
+        k += 1
+    return w[k:len(w) - k], w[:k]
+
+
 def cyclic_reduce(word: Sequence[int]) -> FreeWord:
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
+    return _strip_to_cyclic(word)[0]
 
 
 def word_inverse(word: Sequence[int]) -> FreeWord:
@@ -83,16 +89,6 @@ class MembershipCertificate:
 # A form is a word known equal to conj * relator^exp * conj^-1; rotations of
 # the cyclic reductions of the relators and their inverses cover every
 # cyclic shift with an explicit conjugator.
-
-
-def _strip_to_cyclic(word: FreeWord) -> tuple[FreeWord, FreeWord]:
-    """Return (core, prefix) with word == prefix * core * prefix^-1."""
-    w = free_reduce(word)
-    prefix: list[int] = []
-    while len(w) >= 2 and w[0] == -w[-1]:
-        prefix.append(w[0])
-        w = w[1:-1]
-    return tuple(w), tuple(prefix)
 
 
 class Presentation:

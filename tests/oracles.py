@@ -59,19 +59,19 @@ def classes_by_walks(X: MetricGraph, budget: Fraction):
 
     found: dict[CyclicWord, Fraction] = {}
     for v0 in range(X.graph.vertex_count):
-        stack = [((d,), X.dart_length(d)) for d in X.out_darts(v0)
+        stack = [((d,), X.dart_length(d)) for d in X.out_darts[v0]
                  if within(X.dart_length(d))]
         while stack:
             walk, length = stack.pop()
-            if X.dart_target(walk[-1]) == v0:
+            if X.dart_target[walk[-1]] == v0:
                 reduced = reduce_dart_path(walk, cyclic=True)
                 if reduced:
                     word = CyclicWord(reduced)
                     geo = sum((X.dart_length(d) for d in reduced), Fraction(0))
                     if word not in found or geo < found[word]:
                         found[word] = geo
-            v = X.dart_target(walk[-1])
-            for d in X.out_darts(v):  # backtracking allowed on purpose
+            v = X.dart_target[walk[-1]]
+            for d in X.out_darts[v]:  # backtracking allowed on purpose
                 total = length + X.dart_length(d)
                 if within(total):
                     stack.append((walk + (d,), total))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -249,6 +250,9 @@ class TestJson:
         assert back == g1
         assert lengths == {"A": "2/1", "B": "5/2"}
         assert graph_to_json(back, lengths) == text
+        # rationals always serialize as p/q, integers included
+        text = graph_to_json(g1, {"A": Fraction(2), "B": Fraction(5, 2)})
+        assert graph_from_json(text)[1] == {"A": "2/1", "B": "5/2"}
 
     def test_without_lengths(self, fano_graphs):
         g1, _ = fano_graphs

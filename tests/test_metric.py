@@ -92,9 +92,10 @@ class TestMetricGraph:
         with pytest.raises(ValueError):
             MetricGraph(g, {"A": Fraction(1)})
 
-    @pytest.mark.parametrize("root", [3, -1, 0.5])
+    @pytest.mark.parametrize("root", [3, -1, 0.5, 1.0])
     def test_root_outside_the_vertices_rejected(self, root):
-        g = ColoredGraph(["v"], [Edge(0, 0, 0, "A")], ["A"])
+        # 1.0 equals the vertex 1 but is not an int, so it cannot index one
+        g = ColoredGraph(["u", "v"], [Edge(0, 0, 0, "A"), Edge(1, 0, 1, "A")], ["A"])
         with pytest.raises(ValueError, match="root"):
             MetricGraph(g, {"A": Fraction(1)}, root=root)
 
@@ -122,7 +123,7 @@ class TestCyclicWord:
 
     def test_rejects_wraparound_backtracking(self, x1):
         d = 2 * x1.free_generators[0]
-        up = x1.tree_path_to_root(x1.dart_origin(d))
+        up = x1.tree_path_to_root(x1.dart_origin[d])
         if up:
             with pytest.raises(ValueError):
                 CyclicWord([dart_reverse(up[0]), up[0]])

@@ -6,12 +6,14 @@ from itertools import takewhile
 from time import perf_counter
 
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from covspec import (
+    CapExceededError,
     ColoredGraph,
     CyclicWord,
+    Edge,
     IntLattice,
     MarkedClass,
     MetricGraph,
@@ -43,30 +45,14 @@ X2_SPECTRUM = [Fraction(1), Fraction(5, 4), Fraction(2), Fraction(9, 4),
                Fraction(7, 2), Fraction(4)]
 
 
-class _LatticeOracle:
-    def __init__(self, n):
-        self.lat = IntLattice(n)
-        self.units = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def contains(self, v):
-        return self.lat.contains(v)
-
-    def add(self, v):
-        self.lat.add(v)
-
-    def saturated(self):
-        return self.lat.contains_all(self.units)
-
-
 class TestJumpSet:
     def test_single_value(self):
-        oracle = _LatticeOracle(1)
-        jumps, last = jump_set([(Fraction(5), [1])], oracle)
+        jumps, last = jump_set([(Fraction(5), [1])], IntLattice(1))
         assert jumps == [Fraction(5)] and last == Fraction(5)
 
     def test_multiples_generate_nothing_new(self):
         items = [(Fraction(k), [k]) for k in (2, 4, 6, 8)]
-        jumps, _ = jump_set(items, _LatticeOracle(1))
+        jumps, _ = jump_set(items, IntLattice(1))
         assert jumps == [Fraction(2)]
 
     def test_rectangular_lattice(self):
@@ -77,13 +63,13 @@ class TestJumpSet:
                     q = Fraction(4 * a * a + 9 * b * b)
                     items.append((q, [a, b]))
         items.sort(key=lambda t: t[0])
-        jumps, _ = jump_set(items, _LatticeOracle(2))
+        jumps, _ = jump_set(items, IntLattice(2))
         assert jumps == [Fraction(4), Fraction(9)]  # squared norms 2^2, 3^2
 
     def test_same_level_tested_before_added(self):
         # two equal vectors at one level: only one jump, not two
         items = [(Fraction(1), [1]), (Fraction(1), [-1]), (Fraction(4), [2])]
-        jumps, _ = jump_set(items, _LatticeOracle(1))
+        jumps, _ = jump_set(items, IntLattice(1))
         assert jumps == [Fraction(1)]
 
     def test_stops_at_saturation(self):
@@ -94,13 +80,32 @@ class TestJumpSet:
                 yield Fraction(k), [k]
                 k += 1
 
-        jumps, last = jump_set(endless(), _LatticeOracle(1))
+        jumps, last = jump_set(endless(), IntLattice(1))
         assert jumps == [Fraction(2), Fraction(3)] and last == Fraction(3)
 
     def test_unsorted_items_rejected(self):
         items = [(Fraction(4), [4]), (Fraction(2), [2])]
         with pytest.raises(ValueError):
-            jump_set(items, _LatticeOracle(1))
+            jump_set(items, IntLattice(1))
+
+
+_vector_sets = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.lists(st.integers(-3, 3), min_size=n,
+                                                      max_size=n), max_size=4)))
+
+
+@given(_vector_sets)
+@example((2, [[2, 0], [0, 1]]))  # full rank, index 2
+@example((2, [[1, 0], [3, 0]]))  # rank deficient
+@example((2, [[2, 1], [1, 1]]))  # unimodular, no unit row
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_saturated_iff_every_unit_vector_is_inside(drawn):
+    n, vecs = drawn
+    lattice = IntLattice(n)
+    for v in vecs:
+        lattice.add(v)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert lattice.saturated() == all(lattice.contains(u) for u in units)
 
 
 class TestGraphSpectra:
@@ -343,14 +348,16 @@ class TestLatticeStream:
 
 
 @st.composite
-def schreier_metric_graphs(draw):
+def schreier_metric_graphs(draw, max_degree=8, numerators=(1, 8), denominator=2):
     """Connected Schreier graphs of two random permutations of degree at
-    most 8, half with the lengths 2 and 5/2 per colour, half per edge."""
-    n = draw(st.integers(1, 8))
+    most ``max_degree``, half with the lengths 2 and 5/2 per colour, half
+    per edge, each a numerator in the closed range ``numerators`` over
+    ``denominator``."""
+    n = draw(st.integers(1, max_degree))
     a, b = (draw(st.permutations(range(n))) for _ in range(2))
     graph = cayley_graph([("A", Permutation(a)), ("B", Permutation(b))])
     if draw(st.booleans()):
-        lengths = [Fraction(draw(st.integers(1, 8)), 2) for _ in graph.edges]
+        lengths = [Fraction(draw(st.integers(*numerators)), denominator) for _ in graph.edges]
     else:
         lengths = {"A": Fraction(2), "B": Fraction(5, 2)}
     try:
@@ -418,3 +425,137 @@ class TestSharedPresentation:
         monkeypatch.setattr(words_mod, "todd_coxeter", counting)
         assert report.verify_all_certificates(X)
         assert len(calls) == len(keys)
+
+
+def decided_run(X):
+    """covering_spectrum(X), with undecided and capped runs assumed away."""
+    try:
+        return covering_spectrum(X)
+    except (UndecidedOracleError, CapExceededError):
+        assume(False)
+
+
+def spectrum_values(X):
+    return list(covering_spectrum(X)[0].values)
+
+
+def metric_graph(n, edges, root=0):
+    """A metric graph on n vertices from (origin, target, length) triples."""
+    graph = ColoredGraph([str(v) for v in range(n)],
+                         [Edge(i, o, t, "A") for i, (o, t, _) in enumerate(edges)], ["A"])
+    return MetricGraph(graph, [q for _, _, q in edges], root=root)
+
+
+def edge_triples(X):
+    return [(e.origin, e.target, q) for e, q in zip(X.graph.edges, X.edge_lengths)]
+
+
+# Lengths within a factor 9/4 of each other keep the class stream short:
+# with the default per-edge lengths 1/2 to 4, about one drawn Schreier
+# graph in a hundred runs for minutes.
+_lengths = st.builds(Fraction, st.integers(4, 9), st.just(4))
+
+
+def short_schreier_graphs(max_degree=8):
+    return schreier_metric_graphs(max_degree, numerators=(4, 9), denominator=4)
+
+
+class TestClosedForms:
+    """Spectra known in closed form: a wedge of loops has {l_i / 2}, a
+    cycle of total length l has {l / 2}, and a theta graph with edge
+    lengths a <= b <= c has {(a + b) / 2, (a + c) / 2}."""
+
+    @staticmethod
+    def wedge(lengths):
+        return metric_graph(1, [(0, 0, q) for q in lengths])
+
+    @staticmethod
+    def cycle(lengths):
+        n = len(lengths)
+        return metric_graph(n, [(v, (v + 1) % n, q) for v, q in enumerate(lengths)])
+
+    @staticmethod
+    def theta(lengths):
+        return metric_graph(2, [(0, 1, q) for q in lengths])
+
+    @pytest.mark.parametrize("shape, lengths, expected", [
+        ("theta", (1, 2, Fraction(5, 2)), [Fraction(3, 2), Fraction(7, 4)]),
+        ("theta", (2, 3, 7), [Fraction(5, 2), Fraction(9, 2)]),
+        ("cycle", (1, 2, 3), [Fraction(3)]),
+        ("wedge", (3, 1, 2, 2), [Fraction(1, 2), Fraction(1), Fraction(3, 2)]),
+    ])
+    def test_pinned_values(self, shape, lengths, expected):
+        assert spectrum_values(getattr(self, shape)([Fraction(q) for q in lengths])) == expected
+
+    @given(st.lists(_lengths, min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_wedge(self, lengths):
+        assert spectrum_values(self.wedge(lengths)) == sorted({q / 2 for q in lengths})
+
+    @given(st.lists(_lengths, min_size=1, max_size=5))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_cycle(self, lengths):
+        assert spectrum_values(self.cycle(lengths)) == [sum(lengths) / 2]
+
+    @given(st.lists(_lengths, min_size=3, max_size=3))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_theta(self, lengths):
+        a, b, c = sorted(lengths)
+        assert spectrum_values(self.theta(lengths)) == sorted({(a + b) / 2, (a + c) / 2})
+
+
+class TestMetricInvariance:
+    """The covering spectrum is a property of the length space: no
+    relabelling, edge numbering, choice of root or subdivision of an edge
+    moves it, and scaling every length by t scales it by t."""
+
+    @given(short_schreier_graphs(max_degree=6), st.data())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_spectrum_is_a_metric_invariant(self, X, data):
+        base = list(decided_run(X)[0].values)
+        n, edges = X.graph.vertex_count, edge_triples(X)
+        pi = data.draw(st.permutations(range(n)), label="vertex relabelling")
+        sigma = data.draw(st.permutations(range(len(edges))), label="edge ids")
+        root = data.draw(st.integers(0, n - 1), label="root")
+        e = data.draw(st.integers(0, len(edges) - 1), label="subdivided edge")
+        cut = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)]))
+        t = data.draw(st.sampled_from([Fraction(1, 3), Fraction(5, 2), Fraction(7)]))
+        o, w, q = edges[e]
+        subdivided = edges[:e] + [(o, n, q * cut)] + edges[e + 1:] + [(n, w, q - q * cut)]
+        variants = [
+            (metric_graph(n, [(pi[o], pi[w], q) for o, w, q in edges]), base),
+            (metric_graph(n, [edges[i] for i in sigma]), base),
+            (metric_graph(n, edges, root=root), base),
+            (metric_graph(n + 1, subdivided), base),
+            (metric_graph(n, [(o, w, q * t) for o, w, q in edges]), [v * t for v in base]),
+        ]
+        for Y, expected in variants:
+            assert list(decided_run(Y)[0].values) == expected
+
+
+def embedded(X, loop):
+    """Whether a loop visits no vertex twice."""
+    visited = [X.dart_origin[d] for d in loop.darts]
+    return len(set(visited)) == len(visited)
+
+
+class TestEmbeddedCycles:
+    """A loop through some vertex twice splits there into two strictly
+    shorter closed loops, whose classes are in the closure before its
+    level: so it is always a member, and every jump witness is embedded."""
+
+    @given(short_schreier_graphs(max_degree=6))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_generated_graphs(self, X):
+        report = decided_run(X)[1]
+        assert all(embedded(X, q.target_loop) for q in report.jumps)
+        for q in report.queries:
+            assert embedded(X, q.target_loop) or q.certificate.verdict == "member"
+
+    def test_fano_pair(self, fano_run):
+        X1, _, r1, X2, _, r2 = fano_run(LA, LB)
+        for X, report in ((X1, r1), (X2, r2)):
+            assert report.jumps and all(embedded(X, q.target_loop) for q in report.jumps)
+            assert any(not embedded(X, q.target_loop) for q in report.queries)
+            for q in report.queries:
+                assert embedded(X, q.target_loop) or q.certificate.verdict == "member"
