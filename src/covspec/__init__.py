@@ -62,7 +62,6 @@ from .words import (
     MembershipCertificate,
     Presentation,
     abelian_nonmember,
-    contraction_nonmember,
     coset_membership,
     cyclic_reduce,
     decide_membership,

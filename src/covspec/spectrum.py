@@ -147,21 +147,23 @@ class FiltrationReport:
 
     def verify_all_certificates(self, X: MetricGraph) -> bool:
         """Replay every certificate with the checker's own presentation,
-        rewriting every relator and target loop in X afresh."""
+        rewriting every relator and target loop in X afresh.  Each free
+        generator needs a member certificate: only then is the closure
+        everything, with no jump past the last level."""
         # looked up per call, so the benchmark's layer tracer can wrap it
         from .words import verify_certificate
 
-        loops = [c.word for c in self.classes]
+        if any(c is None or c.verdict != MEMBER for c in self.generator_certificates):
+            return False
         try:
-            relators = [loop_to_free_word(X, loop) for loop in loops]
-            checks = [(q.relator_count, loop_to_free_word(X, q.target_loop), q.target_loop,
-                       q.certificate) for q in self.queries]
+            relators = [loop_to_free_word(X, c.word) for c in self.classes]
+            checks = [(q.relator_count, loop_to_free_word(X, q.target_loop), q.certificate)
+                      for q in self.queries]
         except ValueError:  # a loop that does not close in X
             return False
-        checks += [(len(relators), (g + 1,), None, c)
-                   for g, c in enumerate(self.generator_certificates)]
+        checks += [(len(relators), (g + 1,), c) for g, c in enumerate(self.generator_certificates)]
         pres, grown = Presentation(X.rank), 0
-        for k, word, loop, cert in checks:
+        for k, word, cert in checks:
             if k > len(relators):
                 return False
             if k < grown:
@@ -169,8 +171,7 @@ class FiltrationReport:
             for rel in relators[grown:k]:
                 pres.add(rel)
             grown = k
-            if not verify_certificate(cert, pres, word, loops=loops[:k],
-                                      target_loop=loop):
+            if not verify_certificate(cert, pres, word):
                 return False
         return True
 
@@ -185,12 +186,7 @@ class _NormalClosureOracle:
 
     def contains(self, cls: MarkedClass) -> bool:
         classes = self.report.classes
-        cert = decide_membership(
-            self.presentation,
-            loop_to_free_word(self.X, cls.word),
-            loops=[c.word for c in classes],
-            target_loop=cls.word,
-        )
+        cert = decide_membership(self.presentation, loop_to_free_word(self.X, cls.word))
         name = render_loop(self.X, cls.word)
         self.report.queries.append(QueryRecord(cls.length, name, cls.word, len(classes), cert))
         if cert.verdict == UNDECIDED:

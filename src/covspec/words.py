@@ -7,8 +7,10 @@ report, never a guess.  Tiers run cheap to expensive:
 
   syntactic    member      witness expression of conjugated relator powers
   abelian      non_member  exponent vector outside the relator lattice
-  contraction  non_member  nontrivial image after contracting relator loops
   coset        exact       Todd-Coxeter on F/<<relators>>, trivial subgroup
+
+``contraction_nonmember`` is a standalone predicate, not a tier: the
+abelian tier decides every query it could (see its docstring).
 
 Words are tuples of signed 1-based generator indices: (1, -2) is g1*g2^-1.
 """
@@ -69,6 +71,8 @@ def least_rotation(word: tuple, inverse: tuple) -> tuple:
 # and the length of the target prefixes and suffixes that conjugate them
 SYNTACTIC_TERMS = 3
 CONJUGATOR_LENGTH = 4
+# raw rows the coset tier's Todd-Coxeter table may grow to
+COSET_CAP = 100_000
 
 
 @dataclass
@@ -269,7 +273,7 @@ def abelian_nonmember(pres: Presentation, target: Sequence[int]) -> MembershipCe
 
 
 # ---------------------------------------------------------------------------
-# contraction tier
+# edge contraction, a predicate outside the tiers
 
 
 def contraction_nonmember(
@@ -284,9 +288,16 @@ def contraction_nonmember(
     graph a closed path is null-homotopic iff its reduced edge word is
     empty, and vertex identifications never create new cancellations, so
     the reduced image word decides the question.
+
+    Not a tier of ``decide_membership``: a nonempty image needs a target
+    edge e that no relator loop traverses, and the signed count of e is a
+    linear form on exponent vectors, nonzero on the target and zero on
+    every relator, so the abelian tier has already decided the target.
     """
-    dead = _loop_edges(loops)
-    image = _contracted_image(target, dead)
+    from .metric import dart_edge, reduce_dart_path
+
+    dead = {dart_edge(d) for loop in loops for d in loop.darts}
+    image = reduce_dart_path([d for d in target.darts if dart_edge(d) not in dead], cyclic=True)
     if not image:
         return None
     return MembershipCertificate(
@@ -294,19 +305,6 @@ def contraction_nonmember(
         "contraction",
         {"contracted_edges": sorted(dead), "image_word": image},
     )
-
-
-def _loop_edges(loops: Sequence["CyclicWord"]) -> set[int]:
-    from .metric import dart_edge
-
-    return {dart_edge(d) for loop in loops for d in loop.darts}
-
-
-def _contracted_image(target: "CyclicWord", dead) -> list[int]:
-    """The cyclically reduced darts of ``target`` outside the edges ``dead``."""
-    from .metric import dart_edge, reduce_dart_path
-
-    return reduce_dart_path([d for d in target.darts if dart_edge(d) not in dead], cyclic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +414,7 @@ def todd_coxeter(relators: Sequence[FreeWord], rank: int, cap: int) -> CosetTabl
 
 
 def coset_membership(
-    pres: Presentation, target: Sequence[int], cap: int = 100_000
+    pres: Presentation, target: Sequence[int], cap: int = COSET_CAP
 ) -> MembershipCertificate | None:
     """Decide membership through coset enumeration when it can.
 
@@ -449,32 +447,15 @@ def coset_certificate(
 # orchestration
 
 
-def decide_membership(
-    pres: Presentation,
-    target: Sequence[int],
-    *,
-    loops: Sequence["CyclicWord"] | None = None,
-    target_loop: "CyclicWord | None" = None,
-    coset_cap: int = 100_000,
-) -> MembershipCertificate:
-    """Run the tiers in order and return the first conclusive certificate.
-
-    The contraction tier needs the graph context, ``loops`` realizing the
-    relators and ``target_loop`` realizing the target; it is skipped when
-    that context is absent.
-    ``coset_cap`` bounds the coset table of the last tier.
-    """
+def decide_membership(pres: Presentation, target: Sequence[int]) -> MembershipCertificate:
+    """Run the tiers in order and return the first conclusive certificate."""
     cert = syntactic_member(pres, target)
     if cert is not None:
         return cert
     cert = abelian_nonmember(pres, target)
     if cert is not None:
         return cert
-    if loops is not None and target_loop is not None:
-        cert = contraction_nonmember(loops, target_loop)
-        if cert is not None:
-            return cert
-    cert = coset_membership(pres, target, coset_cap)
+    cert = coset_membership(pres, target, COSET_CAP)
     if cert is not None:
         return cert
     return MembershipCertificate(
@@ -484,7 +465,7 @@ def decide_membership(
             "budgets": {
                 "syntactic_terms": SYNTACTIC_TERMS,
                 "conjugator_length": CONJUGATOR_LENGTH,
-                "coset_cap": coset_cap,
+                "coset_cap": COSET_CAP,
             }
         },
     )
@@ -497,34 +478,22 @@ _REGULARITY_CLOSURE_CAP = 5000
 
 
 def verify_certificate(
-    cert: MembershipCertificate,
-    pres: Presentation,
-    target: Sequence[int],
-    *,
-    loops: Sequence["CyclicWord"] | None = None,
-    target_loop: "CyclicWord | None" = None,
+    cert: MembershipCertificate, pres: Presentation, target: Sequence[int]
 ) -> bool:
-    """Re-validate a certificate from the original query data alone;
-    ``loops`` and ``target_loop`` are as in ``decide_membership``."""
+    """Re-validate a certificate from the original query data alone.  An
+    undecided certificate proves nothing, and malformed evidence is
+    rejected, so neither replays."""
     target = free_reduce(target)
-    if cert.tier == "syntactic" and cert.verdict == MEMBER:
-        return _check_expression(pres.relators, target, cert.evidence["expression"])
-    if cert.tier == "abelian" and cert.verdict == NON_MEMBER:
-        tvec = exponent_vector(target, pres.rank)
-        return tvec == cert.evidence["target_vector"] and not pres.lattice.contains(tvec)
-    if cert.tier == "contraction" and cert.verdict == NON_MEMBER:
-        if loops is None or target_loop is None:
-            return False
-        # contracting any set of edges that holds every relator loop kills
-        # the normal closure, so a nontrivial image of the target is enough
-        dead = set(cert.evidence["contracted_edges"])
-        image = cert.evidence["image_word"]
-        return (_loop_edges(loops) <= dead and bool(image)
-                and image == _contracted_image(target_loop, dead))
-    if cert.tier == "coset_enumeration":
-        return _verify_coset_cert(cert, pres, target)
-    if cert.verdict == UNDECIDED:
-        return True
+    try:
+        if cert.tier == "syntactic" and cert.verdict == MEMBER:
+            return _check_expression(pres.relators, target, cert.evidence["expression"])
+        if cert.tier == "abelian" and cert.verdict == NON_MEMBER:
+            tvec = exponent_vector(target, pres.rank)
+            return tvec == cert.evidence["target_vector"] and not pres.lattice.contains(tvec)
+        if cert.tier == "coset_enumeration":
+            return _verify_coset_cert(cert, pres, target)
+    except (KeyError, TypeError, ValueError):
+        return False
     return False
 
 

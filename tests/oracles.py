@@ -520,8 +520,7 @@ def replay_stateless(report, X) -> bool:
     for q in report.queries:
         k = q.relator_count
         if not verify_certificate(q.certificate, Presentation(X.rank, relators[:k]),
-                                  loop_to_free_word(X, q.target_loop),
-                                  loops=loops[:k], target_loop=q.target_loop):
+                                  loop_to_free_word(X, q.target_loop)):
             return False
     return all(verify_certificate(cert, Presentation(X.rank, relators), (g + 1,))
                for g, cert in enumerate(report.generator_certificates))

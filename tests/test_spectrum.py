@@ -28,6 +28,7 @@ from covspec import spectrum as spectrum_mod
 from covspec import words as words_mod
 from covspec.groups import Permutation
 from covspec.spectrum import BudgetExhaustedError, UndecidedOracleError, _lattice_vectors
+from covspec.words import MembershipCertificate, contraction_nonmember
 
 from oracles import (
     StatelessOracle,
@@ -221,9 +222,22 @@ class TestGraphSpectra:
             tamper(report)
             assert not report.verify_all_certificates(theta_graph)
 
+    def test_replay_rejects_undecided_and_missing_certificates(self, wedge23):
+        # the driver raises before it returns such a report; an undecided
+        # last query drops the jump at 3, and every generator needs a
+        # member certificate for the closure to be everything
+        undecided = MembershipCertificate("undecided", "exhausted", {})
+        for tamper in (
+            lambda r: setattr(r.queries[-1], "certificate", undecided),
+            lambda r: r.generator_certificates.__setitem__(0, undecided),
+            lambda r: r.generator_certificates.__setitem__(1, None),
+        ):
+            _, report = covering_spectrum(wedge23)
+            tamper(report)
+            assert not report.verify_all_certificates(wedge23)
+
     def test_undecided_oracle_aborts(self, wedge23, monkeypatch):
         from covspec import spectrum as spectrum_mod
-        from covspec.words import MembershipCertificate
 
         def always_undecided(*args, **kwargs):
             return MembershipCertificate("undecided", "exhausted", {"budgets": {}})
@@ -559,3 +573,27 @@ class TestEmbeddedCycles:
             assert any(not embedded(X, q.target_loop) for q in report.queries)
             for q in report.queries:
                 assert embedded(X, q.target_loop) or q.certificate.verdict == "member"
+
+
+class TestContractionIsAbelian:
+    """A target that edge contraction certifies uses an edge e that no
+    relator loop traverses; the signed count of e is nonzero on its
+    exponent vector and zero on every relator's, so the abelian tier,
+    which runs first, has already decided it."""
+
+    @staticmethod
+    def check(report):
+        for q in report.queries:
+            loops = [c.word for c in report.classes[:q.relator_count]]
+            if contraction_nonmember(loops, q.target_loop) is not None:
+                assert (q.certificate.verdict, q.certificate.tier) == ("non_member", "abelian")
+
+    @given(short_schreier_graphs(max_degree=6))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_generated_graphs(self, X):
+        self.check(decided_run(X)[1])
+
+    def test_fano_pair(self, fano_run):
+        _, _, r1, _, _, r2 = fano_run(LA, LB)
+        self.check(r1)
+        self.check(r2)
