@@ -8,7 +8,7 @@ everything computed inside it (generated subgroups, conjugacy classes,
 conjugate subgroups, Schreier graphs) runs in that index space:
 a product is composed as a raw image tuple and looked up in the group's
 one image -> index map, so no ``Permutation`` is built or validated per
-product.  ``closure`` searches on image tuples the same way.
+product or conjugate.  ``closure`` searches on image tuples the same way.
 
 Composition convention: ``p * q`` means "apply p, then q".  With points as
 row vectors and permutations induced by right matrix multiplication this
@@ -125,17 +125,13 @@ class FiniteGroup:
         return self._classes
 
     def _compute_classes(self) -> list[tuple[int, ...]]:
-        # flood fill by generator conjugation; generators suffice since
-        # conjugation by a product is a composite of generator conjugations.
-        # One column per conjugator s maps index i to the index of
-        # s^-1 * g_i * s.
-        columns = []
-        for s in self.generators:
-            fwd, back = self.index[s.images], self.index[s.inverse().images]
-            for c, c_inv in ((fwd, back), (back, fwd)):
-                columns.append(
-                    [self.product(self.product(c_inv, i), c) for i in range(self.order)]
-                )
+        """Orbits of x -> s^-1 x s for each generator s only (conjugation by a
+        product composes these; by s^-1, it is a power of it).  Column s maps i
+        to the index of s^-1 g_i s, composed as the tuple of s[g_i[s^-1[k]]]."""
+        columns = [
+            [self.index[tuple([s[g.images[k]] for k in s_inv])] for g in self.elements]
+            for s, s_inv in ((c.images, c.inverse().images) for c in self.generators)
+        ]
         seen = set()
         classes = []
         for i in range(self.order):
@@ -223,19 +219,19 @@ def closure(generators: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> 
 
 
 def subgroup_generated(G: FiniteGroup, S: Iterable[Permutation]) -> Subgroup:
-    """The smallest subgroup of G containing S.
-
-    The subgroup grows one generator at a time by breadth-first search on
-    element indices; a generator already inside it is skipped.
-    """
+    """The smallest subgroup of G containing S, grown from {1} by ``_grow``."""
     gens = list(S)
     for g in gens:
         if g not in G:
             raise ValueError(f"element not in group: {g!r}")
-    members = {0}
-    used: list[int] = []
-    for g in gens:
-        t = G.index[g.images]
+    return Subgroup(G, _grow(G, frozenset([0]), (), [G.index[g.images] for g in gens])[0])
+
+
+def _grow(G: FiniteGroup, members: frozenset[int], used: tuple[int, ...], new: Iterable[int]):
+    """(members, used) of the subgroup ``members``, generated by the indices ``used``,
+    grown by the indices ``new`` one at a time; any already inside costs no product."""
+    members, used = set(members), list(used)
+    for t in new:
         if t in members:
             continue  # already in the subgroup built so far
         used.append(t)
@@ -251,7 +247,7 @@ def subgroup_generated(G: FiniteGroup, S: Iterable[Permutation]) -> Subgroup:
                         members.add(y)
                         nxt.append(y)
             frontier, step = nxt, used
-    return Subgroup(G, frozenset(members))
+    return frozenset(members), tuple(used)
 
 
 def stabilizer(G: FiniteGroup, point: int) -> Subgroup:
@@ -313,29 +309,17 @@ def is_jump_equivalent(
 ) -> JumpEquivalenceReport:
     """Exhaustively compare subgroup-equality patterns over stable subsets.
 
-    Conjugation-stable subsets of G are exactly unions of conjugacy
-    classes, so there are 2^c of them.  For each one we generate
-    <H_i ∩ S> and compare the two induced partitions of the subset
-    lattice; the patterns agree iff the partitions coincide.
+    Conjugation-stable subsets of G are exactly unions of conjugacy classes,
+    so there are 2^c of them; ``_meet_subgroups`` gives <H_i ∩ S> for each,
+    and the patterns agree iff the two induced partitions of the subset
+    lattice coincide.
     """
     _check_subgroups(G, H1, H2)
     classes = G.conjugacy_classes()
     if len(classes) > class_cap:
         raise CapExceededError(f"{len(classes)} conjugacy classes exceeds cap {class_cap}")
     n = len(classes)
-    # many stable subsets meet H1 or H2 in the same set; generate each
-    # distinct intersection once
-    generated: dict[frozenset[int], frozenset[int]] = {}
-
-    def generate(meet: frozenset[int]) -> frozenset[int]:
-        if meet not in generated:
-            generated[meet] = subgroup_generated(G, [G.elements[i] for i in meet]).members
-        return generated[meet]
-
-    patterns: list[tuple[frozenset[int], frozenset[int]]] = []
-    for mask in range(1 << n):
-        stable = {i for k in range(n) if mask >> k & 1 for i in classes[k]}
-        patterns.append((generate(H1.members & stable), generate(H2.members & stable)))
+    patterns = list(zip(_meet_subgroups(G, H1), _meet_subgroups(G, H2)))
     # the partitions coincide iff pairing their blocks is a bijection
     h1_blocks = {p1 for p1, _ in patterns}
     h2_blocks = {p2 for _, p2 in patterns}
@@ -349,6 +333,22 @@ def is_jump_equivalent(
                 t = tuple(k for k in range(n) if j >> k & 1)
                 return JumpEquivalenceReport(False, (s, t), 1 << n)
     raise AssertionError("partition mismatch without witness")
+
+
+def _meet_subgroups(G: FiniteGroup, H: Subgroup) -> list[frozenset[int]]:
+    """<H ∩ S> for every union S of G's classes, by class mask.  The meet of
+    mask m is that of m without its top class k plus H ∩ C_k, so each
+    distinct meet is grown once, from that smaller meet's subgroup."""
+    parts = [[i for i in cls if i in H.members] for cls in G.conjugacy_classes()]
+    meets, grown = [frozenset()], {frozenset(): (frozenset([0]), ())}
+    for mask in range(1, 1 << len(parts)):
+        k = mask.bit_length() - 1
+        base = meets[mask ^ (1 << k)]
+        meet = base.union(parts[k])
+        if meet not in grown:
+            grown[meet] = _grow(G, *grown[base], parts[k])
+        meets.append(meet)
+    return [grown[meet][0] for meet in meets]
 
 
 def _check_subgroups(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> None:

@@ -488,8 +488,10 @@ def verify_certificate(
         if cert.tier == "syntactic" and cert.verdict == MEMBER:
             return _check_expression(pres.relators, target, cert.evidence["expression"])
         if cert.tier == "abelian" and cert.verdict == NON_MEMBER:
+            # rank 0 has no lattice: Z^0 is its own relator lattice
             tvec = exponent_vector(target, pres.rank)
-            return tvec == cert.evidence["target_vector"] and not pres.lattice.contains(tvec)
+            return (tvec == cert.evidence["target_vector"] and pres.lattice is not None
+                    and not pres.lattice.contains(tvec))
         if cert.tier == "coset_enumeration":
             return _verify_coset_cert(cert, pres, target)
     except (KeyError, TypeError, ValueError):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from covspec import (
     CapExceededError,
@@ -19,9 +21,11 @@ from covspec import (
 from covspec.groups import (
     FANO_MATRIX_A,
     FANO_MATRIX_B,
+    FiniteGroup,
     Subgroup,
     _matrix_line_perm,
     _matrix_point_perm,
+    _meet_subgroups,
 )
 
 from oracles import (
@@ -353,6 +357,34 @@ class TestIndexSpaceAgainstOracles:
         self.check(G, [gens1, gens2, gens1 + gens2], [(H1, H2)])
 
 
+@given(st.integers(3, 6).flatmap(lambda n: st.lists(
+    st.permutations(range(n)), min_size=1, max_size=2)), st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_random_groups_with_cyclic_subgroups_match_the_oracles(images, data):
+    # random cyclic pairs are mostly not jump equivalent, so unlike the
+    # seeded pairs above these reach the witness search
+    G = closure([Permutation(p) for p in images])
+    classes = classes_by_conjugation(G)
+    assume(len(classes) <= 8)
+    assert G.conjugacy_classes() == classes
+    x, y = (G.elements[data.draw(st.integers(0, G.order - 1))] for _ in range(2))
+    for gens in ([x], [y], [x, y]):
+        assert subgroup_generated(G, gens).members == subgroup_by_closure(G, gens)
+    H1, H2 = subgroup_generated(G, [x]), subgroup_generated(G, [y])
+    rep = is_jump_equivalent(G, H1, H2)
+    assert (rep.verdict, rep.witness, rep.stable_subset_count) == jump_equivalence_by_patterns(
+        G, H1, H2
+    )
+    # the subgroup at every class mask, grown from a smaller mask's
+    for H in (H1, H2):
+        expected = [
+            subgroup_by_closure(G, [G.elements[i] for k, cls in enumerate(classes)
+                                    if mask >> k & 1 for i in cls if i in H.members])
+            for mask in range(1 << len(classes))
+        ]
+        assert _meet_subgroups(G, H) == expected
+
+
 def _seeded_generators(seed):
     """Seeds 0-7: two or three random permutations of degree 3, 4, 5, 6 in
     turn; seeds 8-10: a random generating pair of GL(3,2) on 14 points."""
@@ -427,6 +459,31 @@ class TestProductRuleAgainstOracles:
         assert (cayley.edges, cayley.colors) == (reference.edges, reference.colors)
         if G.order <= 168:  # 720 x 720 products would only slow the suite
             assert action_is_free(cayley, left_action_by_products(G)[1:])
+
+
+def test_triple_op_group_products_stay_bounded(monkeypatch):
+    # the group calls of one triple op of the benchmark, on a fresh
+    # GL(3,2); composing conjugates directly and growing each meet's
+    # subgroup from the previous one took this op from 3244 products to 1356
+    calls = 0
+    product = FiniteGroup.product
+
+    def counting(self, i, j):
+        nonlocal calls
+        calls += 1
+        return product(self, i, j)
+
+    rng = random.Random(1)
+    G = _gl32_on_points_and_lines(rng)
+    monkeypatch.setattr(FiniteGroup, "product", counting)
+    H1, H2 = stabilizer(G, rng.randrange(7)), stabilizer(G, 7 + rng.randrange(7))
+    assert is_gassmann_sunada(G, H1, H2).verdict and is_jump_equivalent(G, H1, H2).verdict
+    x, g = rng.sample(G.elements, 2)
+    K1, K2 = subgroup_generated(G, [x]), subgroup_generated(G, [x.conjugate_by(g)])
+    assert is_jump_equivalent(G, K1, K2).verdict
+    for H in (H1, H2):
+        schreier_graph(G, H, [("A", G.generators[0]), ("B", G.generators[1])])
+    assert calls <= 2000
 
 
 class TestGeneratorFiles:

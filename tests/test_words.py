@@ -361,6 +361,11 @@ class TestOracleProperties:
         cert = MembershipCertificate(verdict, tier, evidence)
         assert not verify_certificate(cert, Presentation(2, [(1, 2)]), (1, 2))
 
+    def test_abelian_non_member_on_rank_zero_is_rejected(self):
+        # Z^0 is its own relator lattice, so nothing lies outside it
+        cert = MembershipCertificate("non_member", "abelian", {"target_vector": []})
+        assert not verify_certificate(cert, Presentation(0), ())
+
 
 _letters = st.sampled_from([1, -1, 2, -2, 3, -3])
 _relators = st.lists(_letters, min_size=1, max_size=5).map(cyclic_reduce).filter(bool)
