@@ -1,11 +1,12 @@
 """Finite permutation groups with explicit element lists.
 
-Everything here targets small groups (a configurable cap, one million
-elements by default), so closure enumeration and conjugacy classes are
+Everything here targets small groups (a closure cap, one million elements
+by default, and at most ``CONJUGACY_CLASS_CAP`` classes for the
+jump-equivalence check), so closure enumeration and conjugacy classes are
 computed by breadth-first search rather than stabilizer chains.  Once a
 group is closed, its element list fixes an index for every element, and
 everything computed inside it (generated subgroups, conjugacy classes,
-conjugate subgroups, Schreier graphs) runs in that index space:
+Schreier graphs) runs in that index space:
 a product is composed as a raw image tuple and looked up in the group's
 one image -> index map, so no ``Permutation`` is built or validated per
 product or conjugate.  ``closure`` searches on image tuples the same way.
@@ -23,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 DEFAULT_ORDER_CAP = 10**6
-DEFAULT_CLASS_CAP = 20
+CONJUGACY_CLASS_CAP = 20
 
 
 class CapExceededError(RuntimeError):
@@ -67,17 +68,6 @@ class Permutation:
     def conjugate_by(self, g: "Permutation") -> "Permutation":
         """g^-1 * self * g under the apply-then convention."""
         return g.inverse() * self * g
-
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
-
-    def order(self) -> int:
-        n = 1
-        p = self
-        while not p.is_identity():
-            p = p * self
-            n += 1
-        return n
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -170,24 +160,9 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def is_closed(self) -> bool:
-        """Full closure check; constructions in this module satisfy it.
-
-        A finite set closed under products also holds every inverse.
-        """
-        product = self.parent.product
-        return all(product(a, b) in self.members for a in self.members for b in self.members)
-
     def __contains__(self, g: Permutation) -> bool:
         i = self.parent.index.get(g.images)
         return i is not None and i in self.members
-
-    def conjugated_by(self, g: Permutation) -> "Subgroup":
-        """The subgroup g^-1 H g."""
-        G = self.parent
-        k, k_inv = G.index[g.images], G.index[g.inverse().images]
-        members = frozenset(G.product(G.product(k_inv, i), k) for i in self.members)
-        return Subgroup(G, members)
 
 
 def closure(generators: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -304,21 +279,19 @@ class JumpEquivalenceReport:
     stable_subset_count: int
 
 
-def is_jump_equivalent(
-    G: FiniteGroup, H1: Subgroup, H2: Subgroup, class_cap: int = DEFAULT_CLASS_CAP
-) -> JumpEquivalenceReport:
+def is_jump_equivalent(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> JumpEquivalenceReport:
     """Exhaustively compare subgroup-equality patterns over stable subsets.
 
     Conjugation-stable subsets of G are exactly unions of conjugacy classes,
     so there are 2^c of them; ``_meet_subgroups`` gives <H_i ∩ S> for each,
     and the patterns agree iff the two induced partitions of the subset
-    lattice coincide.
+    lattice coincide.  More than ``CONJUGACY_CLASS_CAP`` classes raise
+    CapExceededError.
     """
     _check_subgroups(G, H1, H2)
-    classes = G.conjugacy_classes()
-    if len(classes) > class_cap:
-        raise CapExceededError(f"{len(classes)} conjugacy classes exceeds cap {class_cap}")
-    n = len(classes)
+    n = len(G.conjugacy_classes())
+    if n > CONJUGACY_CLASS_CAP:
+        raise CapExceededError(f"{n} conjugacy classes exceeds cap {CONJUGACY_CLASS_CAP}")
     patterns = list(zip(_meet_subgroups(G, H1), _meet_subgroups(G, H2)))
     # the partitions coincide iff pairing their blocks is a bijection
     h1_blocks = {p1 for p1, _ in patterns}
@@ -375,25 +348,10 @@ class GF2Matrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def __mul__(self, other: "GF2Matrix") -> "GF2Matrix":
-        n = self.n
-        return GF2Matrix(
-            [
-                [sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) % 2 for j in range(n)]
-                for i in range(n)
-            ]
-        )
-
     def apply_row(self, v: Sequence[int]) -> tuple[int, ...]:
         """Row vector times matrix."""
         n = self.n
         return tuple(sum(v[i] * self.rows[i][j] for i in range(n)) % 2 for j in range(n))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GF2Matrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
 
 FANO_MATRIX_A = GF2Matrix([(1, 1, 0), (0, 0, 1), (0, 1, 0)])

@@ -24,7 +24,8 @@ from .graphs import ColoredGraph
 from .groups import CapExceededError
 from .words import cyclic_reduce, least_rotation
 
-DEFAULT_CLASS_CAP = 200_000
+# free homotopy classes one class stream may yield
+CLASS_CAP = 200_000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -217,7 +218,7 @@ def check_closed_loop(X: MetricGraph, darts: Sequence[int]) -> None:
             raise ValueError(f"steps {i} and {j} do not chain")
 
 
-def iter_classes(X: MetricGraph, cap: int = DEFAULT_CLASS_CAP) -> Iterator[MarkedClass]:
+def iter_classes(X: MetricGraph) -> Iterator[MarkedClass]:
     """Every free homotopy class exactly once, by (length, canonical word).
 
     Best-first search over non-backtracking dart walks, kept in a heap
@@ -225,12 +226,13 @@ def iter_classes(X: MetricGraph, cap: int = DEFAULT_CLASS_CAP) -> Iterator[Marke
     forward dart 2e of its least edge e and uses no edge below e, so walks
     start only at forward darts and never step to a smaller edge; a closed
     walk is yielded only when it is its own canonical word.  Raises
-    CapExceededError on the class after the first ``cap``.
+    CapExceededError on the class after the first ``CLASS_CAP``.
 
     The heap holds lengths as integers in units of 1/scale, scale the lcm
     of the edge-length denominators; scaling by a positive integer keeps
     the order and the ties, and only a yielded class gets a Fraction.
     """
+    cap = CLASS_CAP
     scale = lcm(*(q.denominator for q in X.edge_lengths))
     units = [int(q * scale) for q in X.edge_lengths]
     origin, target, out_darts = X.dart_origin, X.dart_target, X.out_darts
@@ -253,18 +255,16 @@ def iter_classes(X: MetricGraph, cap: int = DEFAULT_CLASS_CAP) -> Iterator[Marke
                 heapq.heappush(heap, (length + units[dart_edge(d)], path + (d,)))
 
 
-def enumerate_classes(
-    X: MetricGraph, budget: Fraction, cap: int = DEFAULT_CLASS_CAP
-) -> list[MarkedClass]:
+def enumerate_classes(X: MetricGraph, budget: Fraction) -> list[MarkedClass]:
     """All free homotopy classes with marked length below the budget.
 
     The budget itself is excluded.  Sorted by (length, canonical word).
-    The cap counts the first class past the budget too.
+    ``CLASS_CAP`` counts the first class past the budget too.
     """
     budget = Fraction(budget)
     if budget <= 0:
         raise ValueError("budget must be positive")
-    return list(takewhile(lambda c: c.length < budget, iter_classes(X, cap)))
+    return list(takewhile(lambda c: c.length < budget, iter_classes(X)))
 
 
 def loop_to_free_word(X: MetricGraph, path: Sequence[int] | CyclicWord) -> tuple[int, ...]:

@@ -162,12 +162,11 @@ class FiltrationReport:
         except ValueError:  # a loop that does not close in X
             return False
         checks += [(len(relators), (g + 1,), c) for g, c in enumerate(self.generator_certificates)]
+        if not all(type(k) is int and 0 <= k <= len(relators) for k, _, _ in checks):
+            return False
+        # a run's counts never fall, so a stable sort keeps its own order
         pres, grown = Presentation(X.rank), 0
-        for k, word, cert in checks:
-            if k > len(relators):
-                return False
-            if k < grown:
-                pres, grown = Presentation(X.rank), 0
+        for k, word, cert in sorted(checks, key=lambda check: check[0]):
             for rel in relators[grown:k]:
                 pres.add(rel)
             grown = k
@@ -236,16 +235,14 @@ def covering_spectrum(
     saturates.  A ceiling reached before saturation raises
     BudgetExhaustedError.
     """
+    if budget is not None and Fraction(budget) <= 0:
+        raise ValueError("budget must be positive")
     report = FiltrationReport(generator_certificates=[None] * X.rank)
     if X.rank == 0:
         report.processed_to = Fraction(0)
         return CoveringSpectrum(()), report
 
-    if budget is None:
-        budget = max(X.generator_class_lengths())
-    budget = Fraction(budget)
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    budget = Fraction(budget) if budget is not None else max(X.generator_class_lengths())
 
     classes = takewhile(lambda c: c.length <= budget, iter_classes(X))
     jumps, report.processed_to = jump_set(((c.length, c) for c in classes),

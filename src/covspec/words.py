@@ -3,11 +3,14 @@
 Membership of a word in the normal closure of finitely many relators is
 undecidable in general, so the oracle is explicitly partial: it returns a
 machine-checkable certificate (member / non_member) or an undecided
-report, never a guess.  Tiers run cheap to expensive:
+report, never a guess.  Each tier takes (presentation, target) and returns
+a certificate or None; ``decide_membership`` runs them cheap to expensive
+and stops at the first certificate:
 
   syntactic    member      witness expression of conjugated relator powers
   abelian      non_member  exponent vector outside the relator lattice
-  coset        exact       Todd-Coxeter on F/<<relators>>, trivial subgroup
+  coset        exact       Todd-Coxeter on F/<<relators>>, trivial subgroup,
+                           at most ``COSET_CAP`` rows
 
 ``contraction_nonmember`` is a standalone predicate, not a tier: the
 abelian tier decides every query it could (see its docstring).
@@ -413,10 +416,8 @@ def todd_coxeter(relators: Sequence[FreeWord], rank: int, cap: int) -> CosetTabl
     return CosetTable(out, complete)
 
 
-def coset_membership(
-    pres: Presentation, target: Sequence[int], cap: int = COSET_CAP
-) -> MembershipCertificate | None:
-    """Decide membership through coset enumeration when it can.
+def coset_membership(pres: Presentation, target: Sequence[int]) -> MembershipCertificate | None:
+    """Decide membership through coset enumeration at ``COSET_CAP`` when it can.
 
     A completed table is the regular representation of F/<<relators>>, so
     membership is exact: the target is in the normal closure iff it traces
@@ -424,8 +425,8 @@ def coset_membership(
     valid, so a fully defined trace landing on 0 still certifies
     membership; anything else is inconclusive.
     """
-    result = pres.coset_table(cap)
-    return coset_certificate(result, cap, result.trace(free_reduce(target)))
+    result = pres.coset_table(COSET_CAP)
+    return coset_certificate(result, COSET_CAP, result.trace(free_reduce(target)))
 
 
 def coset_certificate(
@@ -449,15 +450,11 @@ def coset_certificate(
 
 def decide_membership(pres: Presentation, target: Sequence[int]) -> MembershipCertificate:
     """Run the tiers in order and return the first conclusive certificate."""
-    cert = syntactic_member(pres, target)
-    if cert is not None:
-        return cert
-    cert = abelian_nonmember(pres, target)
-    if cert is not None:
-        return cert
-    cert = coset_membership(pres, target, COSET_CAP)
-    if cert is not None:
-        return cert
+    # built per call: the benchmark's layer tracer rebinds the tier names
+    for tier in (syntactic_member, abelian_nonmember, coset_membership):
+        cert = tier(pres, target)
+        if cert is not None:
+            return cert
     return MembershipCertificate(
         UNDECIDED,
         "exhausted",

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from covspec import ColoredGraph, Edge, cli, graph_to_json
+from covspec import ColoredGraph, Edge, cli, graph_to_json, groups
 from covspec.cli import main
 
 
@@ -203,6 +203,13 @@ class TestTripleCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "exceeds cap" in err
 
+    def test_lowered_class_cap_is_read_by_the_command(self, capsys, monkeypatch):
+        # GL(3,2) has 6 conjugacy classes
+        monkeypatch.setattr(groups, "CONJUGACY_CLASS_CAP", 5)
+        code, out, err = run_cli(capsys, "triple")
+        assert code == 2 and out == ""
+        assert err == "error: 6 conjugacy classes exceeds cap 5\n"
+
     def test_subgroup_generator_outside_group_exits_3(self, tmp_path, capsys):
         (tmp_path / "a3.txt").write_text("1 2 0\n")
         (tmp_path / "h1.txt").write_text("1 0 2\n")
@@ -320,6 +327,8 @@ def _bad_input_files(tmp_path):
         edit(doc)
         (tmp_path / name).write_text(json.dumps(doc))
     (tmp_path / "nested.json").write_text("[" * 100_000)
+    tree = ColoredGraph(["u", "v"], [Edge(0, 0, 1, "A")], ["A"])
+    (tmp_path / "tree.json").write_text(graph_to_json(tree, {"A": "1/1"}))
 
 
 @pytest.mark.parametrize(
@@ -341,6 +350,8 @@ def _bad_input_files(tmp_path):
         ["covspec", "--input", "object_edges.json"],
         ["covspec", "--input", "nested.json"],
         ["export-dot", "--input", "nested.json"],
+        # a tree has no class to walk, but its budget is still checked
+        ["covspec", "--input", "tree.json", "--budget", "0"],
     ],
 )
 def test_bad_input_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, argv):

@@ -18,6 +18,7 @@ from covspec import (
     stabilizer,
     subgroup_generated,
 )
+from covspec import groups as groups_mod
 from covspec.groups import (
     FANO_MATRIX_A,
     FANO_MATRIX_B,
@@ -51,7 +52,7 @@ def s3():
 class TestPermutation:
     def test_identity(self):
         e = Permutation.identity(4)
-        assert e.is_identity() and e(2) == 2
+        assert e.images == (0, 1, 2, 3) and e(2) == 2
 
     def test_not_bijection_rejected(self):
         with pytest.raises(ValueError):
@@ -64,8 +65,8 @@ class TestPermutation:
 
     def test_inverse_and_order(self):
         p = Permutation([1, 2, 0])
-        assert (p * p.inverse()).is_identity()
-        assert p.order() == 3
+        assert p * p.inverse() == Permutation.identity(3)
+        assert closure([p]).order == 3
 
 
 class TestClosure:
@@ -127,7 +128,7 @@ class TestFanoActions:
     def test_point_action_of_b_has_order_three(self, fano):
         m = cycle_map(fano.point_perms["B"], fano.labels)
         assert m["100"] == "010" and m["010"] == "001" and m["001"] == "100"
-        assert fano.point_perms["B"].order() == 3
+        assert closure([fano.point_perms["B"]]).order == 3
 
     def test_line_action_of_a(self, fano):
         m = cycle_map(fano.line_perms["A"], fano.labels)
@@ -148,14 +149,12 @@ class TestFanoActions:
                         frontier.append(p(v))
             assert len(reach) == 7
         # faithful: no nontrivial element acts as the identity on lines
-        assert all(
-            not lp.is_identity()
-            for g, lp in zip(fano.group.elements[1:], fano.line_action_of[1:])
-        )
+        assert Permutation.identity(7) not in fano.line_action_of[1:]
 
     def test_matrices_invertible_and_compatible(self, fano):
         assert det(FANO_MATRIX_A.rows) % 2 == det(FANO_MATRIX_B.rows) % 2 == 1
-        ab = FANO_MATRIX_A * FANO_MATRIX_B
+        # row i of AB is row i of A times B
+        ab = GF2Matrix([FANO_MATRIX_B.apply_row(row) for row in FANO_MATRIX_A.rows])
         prodperm = fano.point_perms["A"] * fano.point_perms["B"]
         assert _matrix_point_perm(ab) == prodperm
 
@@ -169,7 +168,7 @@ class TestSubgroups:
 
     def test_cyclic(self, fano):
         g = fano.group.elements[17]
-        assert subgroup_generated(fano.group, [g]).order == g.order()
+        assert subgroup_generated(fano.group, [g]).order == closure([g]).order
 
     def test_whole_group(self, fano):
         H = subgroup_generated(fano.group, list(fano.group.generators))
@@ -203,11 +202,9 @@ class TestSubgroups:
         assert fano.line_stabilizer("100").order == 24
 
     def test_constructed_subgroups_are_closed(self, fano):
-        assert fano.point_stabilizer().is_closed()
-        assert fano.line_stabilizer().is_closed()
-        g = fano.group.elements[5]
-        assert subgroup_generated(fano.group, [g]).is_closed()
-        assert fano.point_stabilizer().conjugated_by(g).is_closed()
+        G, g = fano.group, fano.group.elements[5]
+        for H in (fano.point_stabilizer(), fano.line_stabilizer(), subgroup_generated(G, [g])):
+            assert H.members == subgroup_by_closure(G, [G.elements[i] for i in H.members])
 
     def test_stabilizer_trivial_group(self):
         G = closure([Permutation.identity(3)])
@@ -255,9 +252,10 @@ class TestJumpEquivalence:
         assert rep.stable_subset_count == 64
 
     def test_conjugate_subgroups(self, fano):
-        H = fano.point_stabilizer()
-        g = fano.group.elements[100]
-        assert is_jump_equivalent(fano.group, H.conjugated_by(g), H).verdict
+        G, H = fano.group, fano.point_stabilizer()
+        g = G.elements[100]
+        conjugate = frozenset(G.index[G.elements[i].conjugate_by(g).images] for i in H.members)
+        assert is_jump_equivalent(G, Subgroup(G, conjugate), H).verdict
 
     def test_fano_triple_verdict(self, fano):
         # recorded as computed by the exhaustive check over all 64 stable
@@ -288,11 +286,10 @@ class TestJumpEquivalence:
                 eq2 = pats[0] == pats[1]
         assert eq1 != eq2
 
-    def test_class_cap(self, fano):
+    def test_class_cap(self, fano, monkeypatch):
+        monkeypatch.setattr(groups_mod, "CONJUGACY_CLASS_CAP", 3)
         with pytest.raises(CapExceededError):
-            is_jump_equivalent(
-                fano.group, fano.point_stabilizer(), fano.line_stabilizer(), class_cap=3
-            )
+            is_jump_equivalent(fano.group, fano.point_stabilizer(), fano.line_stabilizer())
 
 
 def _gl32_on_points_and_lines(rng):
@@ -396,8 +393,8 @@ def _seeded_generators(seed):
 
 
 class TestProductRuleAgainstOracles:
-    """closure, the Subgroup helpers and the group graphs match
-    Permutation-product references from tests/oracles.py."""
+    """closure, generated and conjugate subgroups and the group graphs
+    match Permutation-product references from tests/oracles.py."""
 
     @pytest.mark.parametrize("seed", range(11))
     def test_closure_order_and_cap(self, seed):
@@ -416,36 +413,15 @@ class TestProductRuleAgainstOracles:
         rng = random.Random(100 + seed)
         G = closure(_seeded_generators(seed))
         for _ in range(4):
-            H = subgroup_generated(G, rng.sample(G.elements, rng.randint(1, 2)))
-            assert H.is_closed()
+            gens = rng.sample(G.elements, rng.randint(1, 2))
+            H = subgroup_generated(G, gens)
+            assert H.members == subgroup_by_closure(G, gens)
+            # a conjugate of a subgroup is a subgroup of the same order
             g = rng.choice(G.elements)
-            expected = frozenset(G.index[G.elements[i].conjugate_by(g).images] for i in H.members)
-            assert H.conjugated_by(g).members == expected
-            # a random member set of a size that divides |G| is closed
-            # exactly when it generates itself
-            size = rng.choice([d for d in range(2, G.order + 1) if G.order % d == 0])
-            members = frozenset([0, *rng.sample(range(1, G.order), size - 1)])
-            elements = [G.elements[i] for i in members]
-            assert Subgroup(G, members).is_closed() == (subgroup_by_closure(G, elements) == members)
-
-    def test_non_closed_member_sets(self):
-        G = closure([Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])])
-
-        def idx(*images):
-            return G.index[tuple(images)]
-
-        # {e, (0 1), (0 2)} holds every inverse but not (0 1)(0 2)
-        assert not Subgroup(G, frozenset({0, idx(1, 0, 2, 3), idx(2, 1, 0, 3)})).is_closed()
-        # {e, (0 1 2)} misses its inverse and its square
-        assert not Subgroup(G, frozenset({0, idx(1, 2, 0, 3)})).is_closed()
-        assert Subgroup(G, frozenset({0, idx(1, 0, 2, 3)})).is_closed()
-
-    def test_conjugated_by_takes_the_conjugator_on_the_right(self):
-        G = s3()
-        H = subgroup_generated(G, [Permutation([1, 0, 2])])
-        g = Permutation([1, 2, 0])
-        # g^-1 (0 1) g = (1 2) under apply-then composition
-        assert H.conjugated_by(g).members == {0, G.index[(0, 2, 1)]}
+            conjugates = [G.elements[i].conjugate_by(g) for i in H.members]
+            expected = frozenset(G.index[x.images] for x in conjugates)
+            assert len(expected) == H.order
+            assert subgroup_by_closure(G, conjugates) == expected
 
     @pytest.mark.parametrize("seed", range(11))
     def test_group_graphs(self, seed):

@@ -14,6 +14,7 @@ from covspec import (
     MetricGraph,
     Permutation,
     cayley_graph,
+    covering_spectrum,
     enumerate_classes,
     format_rational,
     loop_to_free_word,
@@ -22,6 +23,7 @@ from covspec import (
     render_loop,
     word_inverse,
 )
+from covspec import metric as metric_mod
 from covspec.fano_data import (
     X1_MINIMAL_LOOPS,
     X2_MINIMAL_LOOPS,
@@ -225,9 +227,14 @@ class TestEnumeration:
         lb = sorted(c.length for c in enumerate_classes(b, CUTOFF))
         assert la == lb
 
-    def test_class_cap(self, x1):
+    def test_class_cap(self, x1, monkeypatch):
+        # read when a stream starts, so a lowered cap reaches the spectrum
+        # driver's stream as well
+        monkeypatch.setattr(metric_mod, "CLASS_CAP", 3)
         with pytest.raises(CapExceededError):
-            enumerate_classes(x1, CUTOFF, cap=3)
+            enumerate_classes(x1, CUTOFF)
+        with pytest.raises(CapExceededError):
+            covering_spectrum(x1)
 
     def test_bad_budget(self, wedge23):
         with pytest.raises(ValueError):

@@ -209,18 +209,29 @@ class TestGraphSpectra:
             level = [q for q in r1.queries if q.length == j.length]
             assert level[-1] is j
 
-    def test_replay_rejects_an_inconsistent_report(self, theta_graph):
+    def test_replay_rejects_an_inconsistent_report(self, theta_graph, fano_run):
         # the checker rewrites every loop itself, so a loop that does not
         # close in the graph, or a query that names relators the report
-        # lacks, fails replay
+        # lacks, fails replay; so does a count that would slice the
+        # relators from the end, or is no integer
         for tamper in (
             lambda r: r.classes.__setitem__(0, MarkedClass(Fraction(1), CyclicWord([0]))),
             lambda r: setattr(r.queries[-1], "relator_count", len(r.classes) + 1),
+            lambda r: setattr(r.queries[0], "relator_count", -2),
+            lambda r: setattr(r.queries[-1], "relator_count", -1),
+            lambda r: setattr(r.queries[-1], "relator_count", 1.5),
         ):
             _, report = covering_spectrum(theta_graph)
             assert report.verify_all_certificates(theta_graph)
             tamper(report)
             assert not report.verify_all_certificates(theta_graph)
+        # on X1, -2 would replay the query made with 12 relators against
+        # 13 of the 15
+        X1 = fano_run(LA, LB)[0]
+        _, report = covering_spectrum(X1)
+        assert report.queries[9].relator_count == 12 and len(report.classes) == 15
+        report.queries[9].relator_count = -2
+        assert not report.verify_all_certificates(X1)
 
     def test_replay_rejects_undecided_and_missing_certificates(self, wedge23):
         # the driver raises before it returns such a report; an undecided

@@ -58,8 +58,9 @@ finally:
     tracer.uninstall()
 names = {span[0] for span in tracer.spans}
 for name in ("spectrum.covering_spectrum", "spectrum.jump_set", "spectrum.lattice",
-             "words.decide", "words.replay", "groups.closure", "graphs.schreier_graph",
-             "groups.subgroup_generated", "groups.jump_equivalent"):
+             "words.decide", "words.syntactic", "words.abelian", "words.replay",
+             "groups.closure", "graphs.schreier_graph", "groups.subgroup_generated",
+             "groups.jump_equivalent"):
     if name not in names:
         sys.exit(f"no span {name}")
 for (owner, attr), original in zip(targets, originals):

@@ -168,15 +168,18 @@ class TestCosetTier:
         )
         assert not verify_certificate(cert, Presentation(2, rels), (1,))
 
-    def test_partial_trace_member(self):
-        # F/<<x>> is infinite (free on y), but x itself traces to coset 0
-        cert = coset_membership(Presentation(2, [(1,)]), (1,), cap=20)
+    def test_partial_trace_member(self, monkeypatch):
+        # F/<<x>> is infinite (free on y), but x itself traces to coset 0;
+        # the cap is read per call, so the patched one reaches the evidence
+        monkeypatch.setattr(words_mod, "COSET_CAP", 20)
+        cert = coset_membership(Presentation(2, [(1,)]), (1,))
         assert cert is not None and cert.verdict == "member"
-        assert not cert.evidence["complete"]
+        assert not cert.evidence["complete"] and cert.evidence["cap"] == 20
         assert verify_certificate(cert, Presentation(2, [(1,)]), (1,))
 
-    def test_inconclusive_on_infinite_quotient(self):
-        assert coset_membership(Presentation(2, [(1,)]), (2,), cap=50) is None
+    def test_inconclusive_on_infinite_quotient(self, monkeypatch):
+        monkeypatch.setattr(words_mod, "COSET_CAP", 50)
+        assert coset_membership(Presentation(2, [(1,)]), (2,)) is None
 
     def test_bad_cap(self):
         with pytest.raises(ValueError):
@@ -439,15 +442,17 @@ class TestPresentation:
             return todd_coxeter(relators, rank, cap)
 
         monkeypatch.setattr("covspec.words.todd_coxeter", counting)
+        monkeypatch.setattr(words_mod, "COSET_CAP", 50)
         pres = Presentation(2, [(1,)])
         # F/<<x>> is infinite, so both stop at the cap; the table is shared
-        assert coset_membership(pres, (1, 1), cap=50).verdict == "member"
-        assert coset_membership(pres, (2,), cap=50) is None
+        assert coset_membership(pres, (1, 1)).verdict == "member"
+        assert coset_membership(pres, (2,)) is None
         assert calls == [(1, 50)]
         pres.add((2,))
-        cert = coset_membership(pres, (2,), cap=50)
+        cert = coset_membership(pres, (2,))
         assert cert.verdict == "member" and cert.evidence["complete"]
-        assert coset_membership(pres, (2,), cap=60).evidence["complete"]
+        monkeypatch.setattr(words_mod, "COSET_CAP", 60)
+        assert coset_membership(pres, (2,)).evidence["complete"]
         assert calls == [(1, 50), (2, 50), (2, 60)]
         # two replays at one (relator count, cap) share one table too
         checker = Presentation(2, [(1,), (2,)])
