@@ -19,15 +19,14 @@ from .graphs import (
 )
 from .groups import (
     CapExceededError,
-    FanoActions,
     FiniteGroup,
-    GF2Matrix,
     GassmannReport,
     JumpEquivalenceReport,
     Permutation,
     Subgroup,
     closure,
-    fano_actions,
+    fano_generators,
+    fano_triple,
     is_gassmann_sunada,
     is_jump_equivalent,
     load_generators,

@@ -38,8 +38,8 @@ from .groups import (
     FANO_LABELS,
     CapExceededError,
     closure,
-    fano_actions,
     fano_generators,
+    fano_triple,
     is_gassmann_sunada,
     is_jump_equivalent,
     load_generators,
@@ -178,8 +178,9 @@ def cmd_fano(args) -> int:
 
 def _resolve_triple(args):
     if args.group == "fano":
-        acts = fano_actions()
-        return acts.group, acts.point_stabilizer(), acts.line_stabilizer()
+        if args.h1 or args.h2:
+            raise ValueError("--h1 and --h2 need a generator file as --group")
+        return fano_triple()
     # check every input before the group is closed, which can take long
     if not (args.h1 and args.h2):
         raise ValueError("file-based groups need --h1 and --h2 generator files")
@@ -228,8 +229,7 @@ def cmd_torus(args) -> int:
 
 def run_repro(n: int, la: Fraction, lb: Fraction) -> dict:
     """Full pipeline: triple verification, spectra, genus arithmetic."""
-    acts = fano_actions()
-    G, H1, H2 = acts.group, acts.point_stabilizer(), acts.line_stabilizer()
+    G, H1, H2 = fano_triple()
     gs = is_gassmann_sunada(G, H1, H2)
     je = is_jump_equivalent(G, H1, H2)
     fano = run_fano(la, lb)
@@ -275,8 +275,6 @@ def cmd_export_dot(args) -> int:
         point, line = fano_generators()
         graph = _fano_graph(point if args.fano == "points" else line)
     else:
-        if not args.input:
-            raise ValueError("need --input or --fano")
         graph, _ = graph_from_json(Path(args.input).read_text())
     text = export_dot(graph)
     if args.output:
@@ -286,8 +284,16 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit 3, one line) instead of
+    argparse's usage text and exit 2, which is reserved for stopped runs."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="covspec",
         description="Exact covering spectra of metric graphs and flat tori, "
         "Cayley/Schreier graphs, and Gassmann-Sunada / jump-equivalence checks.",
@@ -323,17 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_repro)
 
     p = sub.add_parser("export-dot", help="DOT rendering of a colored graph")
-    p.add_argument("--input", help="graph JSON file")
-    p.add_argument("--fano", choices=["points", "lines"], help="built-in Fano graph")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="graph JSON file")
+    source.add_argument("--fano", choices=["points", "lines"], help="built-in Fano graph")
     p.add_argument("--output", help="write DOT here instead of stdout")
     p.set_defaults(func=cmd_export_dot)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a reader that closed early shows up here, not at exit
         return code

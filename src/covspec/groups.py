@@ -11,6 +11,10 @@ a product is composed as a raw image tuple and looked up in the group's
 one image -> index map, so no ``Permutation`` is built or validated per
 product or conjugate.  ``closure`` searches on image tuples the same way.
 
+The last section builds the paper's example from two GF(2) matrices:
+GL(3,2) acting on the seven points and the seven lines of the Fano plane,
+and the triple of GL(3,2) with the stabilizers of a point and of a line.
+
 Composition convention: ``p * q`` means "apply p, then q".  With points as
 row vectors and permutations induced by right matrix multiplication this
 makes ``perm(M1) * perm(M2) == perm(M1 @ M2)``, i.e. all actions in this
@@ -159,10 +163,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def __contains__(self, g: Permutation) -> bool:
-        i = self.parent.index.get(g.images)
-        return i is not None and i in self.members
 
 
 def closure(generators: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -332,95 +332,44 @@ def _check_subgroups(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> None:
 # ---------------------------------------------------------------------------
 # GF(2) matrices and the Fano plane actions
 
-
-class GF2Matrix:
-    """Square matrix over GF(2), rows stored as bit tuples."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        n = len(rows)
-        self.rows = tuple(tuple(int(x) % 2 for x in row) for row in rows)
-        if any(len(row) != n for row in self.rows):
-            raise ValueError("matrix must be square")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def apply_row(self, v: Sequence[int]) -> tuple[int, ...]:
-        """Row vector times matrix."""
-        n = self.n
-        return tuple(sum(v[i] * self.rows[i][j] for i in range(n)) % 2 for j in range(n))
-
-
-FANO_MATRIX_A = GF2Matrix([(1, 1, 0), (0, 0, 1), (0, 1, 0)])
-FANO_MATRIX_B = GF2Matrix([(0, 1, 0), (0, 0, 1), (1, 0, 0)])
+# matrices over GF(2) are tuples of rows; points are row vectors v -> vM
+FANO_MATRIX_A = ((1, 1, 0), (0, 0, 1), (0, 1, 0))
+FANO_MATRIX_B = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
 
 # the 7 nonzero vectors of GF(2)^3 in label order 001 < 010 < ... < 111
 FANO_LABELS = tuple(format(k, "03b") for k in range(1, 8))
 _VECTORS = tuple(tuple(int(c) for c in lbl) for lbl in FANO_LABELS)
 _VEC_INDEX = {v: i for i, v in enumerate(_VECTORS)}
+# a line is labeled by the unique nonzero vector orthogonal to all of its
+# points; _LINES[i] holds the indices of the points on the line labeled i
+_LINES = tuple(
+    frozenset(j for j, v in enumerate(_VECTORS) if sum(a * b for a, b in zip(v, w)) % 2 == 0)
+    for w in _VECTORS
+)
 
 
-@dataclass(frozen=True)
-class FanoActions:
-    """Right actions of the two standard generators on Fano points and lines.
-
-    Vertex labels are the 3-bit strings of the nonzero vectors; a line is
-    labeled by the unique nonzero vector orthogonal to all of its points.
-    ``line_action_of[i]`` is the line permutation of the group element with
-    index i, aligned with ``group.elements`` through one closure of the
-    point and line actions side by side.
-    """
-
-    group: FiniteGroup
-    labels: tuple[str, ...]
-    point_perms: dict[str, Permutation]
-    line_perms: dict[str, Permutation]
-    generator_names: tuple[str, ...]
-    line_action_of: tuple[Permutation, ...]
-
-    def point_index(self, lbl: str) -> int:
-        return FANO_LABELS.index(lbl)
-
-    def point_stabilizer(self, lbl: str = "100") -> Subgroup:
-        return stabilizer(self.group, self.point_index(lbl))
-
-    def line_stabilizer(self, lbl: str = "100") -> Subgroup:
-        i = self.point_index(lbl)
-        members = frozenset(
-            k for k, lp in enumerate(self.line_action_of) if lp(i) == i
-        )
-        return Subgroup(self.group, members)
+def _apply_row(v: Sequence[int], M: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Row vector v times the GF(2) matrix M."""
+    return tuple(sum(a * row[j] for a, row in zip(v, M)) % 2 for j in range(len(M)))
 
 
-def _matrix_point_perm(M: GF2Matrix) -> Permutation:
-    return Permutation(tuple(_VEC_INDEX[M.apply_row(v)] for v in _VECTORS))
+def _matrix_point_perm(M: Sequence[Sequence[int]]) -> Permutation:
+    return Permutation(tuple(_VEC_INDEX[_apply_row(v, M)] for v in _VECTORS))
 
 
-def _matrix_line_perm(M: GF2Matrix) -> Permutation:
-    def orth(w):
-        return frozenset(v for v in _VECTORS if sum(a * b for a, b in zip(v, w)) % 2 == 0)
-
-    points_of = {w: orth(w) for w in _VECTORS}
-    images = []
-    for w in _VECTORS:
-        img = frozenset(M.apply_row(v) for v in points_of[w])
-        matches = [u for u in _VECTORS if points_of[u] == img]
-        if len(matches) != 1:
-            raise AssertionError("image point set is not a line")
-        images.append(_VEC_INDEX[matches[0]])
-    return Permutation(images)
+def _matrix_line_perm(M: Sequence[Sequence[int]]) -> Permutation:
+    """M maps the points of a line onto the points of its image line."""
+    p = _matrix_point_perm(M).images
+    return Permutation(tuple(_LINES.index(frozenset(p[j] for j in line)) for line in _LINES))
 
 
 def fano_generators() -> tuple[dict[str, Permutation], dict[str, Permutation]]:
     """The point and the line permutations of the generators A and B.
 
-    The line action is derived from the point action through the
-    orthogonality labeling rather than hard-coded, and is checked against
-    the stored golden adjacency.  No group is closed, so drawing the two
-    Fano graphs needs nothing more.
+    Both come from the matrices: a point moves by v -> vM, and a line moves
+    with the set of its points.  The line action is checked against the
+    stored golden adjacency.  No group is closed, so drawing the two Fano
+    graphs needs nothing more.
     """
     from . import fano_data
 
@@ -435,28 +384,20 @@ def fano_generators() -> tuple[dict[str, Permutation], dict[str, Permutation]]:
     return point, line
 
 
-def fano_actions() -> FanoActions:
-    """Build the group generated by the two Fano point permutations.
+def fano_triple() -> tuple[FiniteGroup, Subgroup, Subgroup]:
+    """The paper's Gassmann-Sunada triple (G, H1, H2).
 
-    ``closure`` runs on the 14-point action of ``fano_generators`` (points
-    0-6, then lines shifted to 7-13); its elements split into a point and
-    a line permutation, so both actions stay aligned element by element.
-    The point action is faithful, so distinct elements keep distinct point
-    permutations.
+    G is GL(3,2), closed from the point permutations of A and B; H1 is the
+    stabilizer of the point 100 and H2 that of the line 100.  A line
+    stabilizer is the setwise stabilizer of the points on the line (here
+    001, 010 and 011), so no line action is needed.
     """
-    point, line = fano_generators()
-    both = closure(
-        [Permutation(point[n].images + tuple(7 + j for j in line[n].images)) for n in point]
-    )
-    images = [g.images for g in both.elements]
-    return FanoActions(
-        group=FiniteGroup([point["A"], point["B"]], [Permutation(g[:7]) for g in images]),
-        labels=FANO_LABELS,
-        point_perms=point,
-        line_perms=line,
-        generator_names=("A", "B"),
-        line_action_of=tuple(Permutation([j - 7 for j in g[7:]]) for g in images),
-    )
+    point, _ = fano_generators()
+    G = closure([point["A"], point["B"]])
+    i = FANO_LABELS.index("100")
+    line = _LINES[i]
+    H2 = Subgroup(G, frozenset(k for k, g in enumerate(G.elements) if {g(j) for j in line} == line))
+    return G, stabilizer(G, i), H2
 
 
 def load_generators(path: str | Path) -> list[Permutation]:

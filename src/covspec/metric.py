@@ -49,17 +49,17 @@ def dart_edge(d: int) -> int:
     return d // 2
 
 
-def reduce_dart_path(path: Sequence[int], cyclic: bool = False) -> list[int]:
-    """Remove backtracking pairs; with cyclic=True also across the wraparound."""
+def reduce_dart_path(path: Sequence[int]) -> list[int]:
+    """Cyclically reduce a closed dart path: remove backtracking pairs, also
+    across the wraparound."""
     out: list[int] = []
     for d in path:
         if out and out[-1] == dart_reverse(d):
             out.pop()
         else:
             out.append(d)
-    if cyclic:
-        while len(out) >= 2 and out[0] == dart_reverse(out[-1]):
-            out = out[1:-1]
+    while len(out) >= 2 and out[0] == dart_reverse(out[-1]):
+        out = out[1:-1]
     return out
 
 
@@ -85,7 +85,7 @@ class CyclicWord:
     @classmethod
     def from_path(cls, path: Sequence[int]) -> "CyclicWord":
         """Cyclically reduce an arbitrary closed dart path first."""
-        reduced = reduce_dart_path(path, cyclic=True)
+        reduced = reduce_dart_path(path)
         if not reduced:
             raise ValueError("path is null-homotopic")
         return cls(reduced)
@@ -205,7 +205,7 @@ class MetricGraph:
         """Marked length of each free generator's conjugacy class."""
         out = []
         for k in range(self.rank):
-            loop = reduce_dart_path(self.generator_loop(k), cyclic=True)
+            loop = reduce_dart_path(self.generator_loop(k))
             out.append(sum((self.dart_length(d) for d in loop), Fraction(0)))
         return out
 

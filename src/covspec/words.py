@@ -300,7 +300,7 @@ def contraction_nonmember(
     from .metric import dart_edge, reduce_dart_path
 
     dead = {dart_edge(d) for loop in loops for d in loop.darts}
-    image = reduce_dart_path([d for d in target.darts if dart_edge(d) not in dead], cyclic=True)
+    image = reduce_dart_path([d for d in target.darts if dart_edge(d) not in dead])
     if not image:
         return None
     return MembershipCertificate(

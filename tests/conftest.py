@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,25 +11,29 @@ from covspec import (
     MetricGraph,
     cayley_graph,
     covering_spectrum,
-    fano_actions,
+    fano_generators,
+    fano_triple,
 )
+from covspec.groups import FANO_LABELS
 
 _RUN_CACHE: dict = {}
 
 
 @pytest.fixture(scope="session")
 def fano():
-    return fano_actions()
+    """The Fano triple (group, h1 the point and h2 the line stabilizer) and
+    the generator permutations on points and lines, keyed by "A" and "B"."""
+    G, H1, H2 = fano_triple()
+    point, line = fano_generators()
+    return SimpleNamespace(
+        group=G, h1=H1, h2=H2, point_perms=point, line_perms=line, labels=FANO_LABELS
+    )
 
 
 @pytest.fixture(scope="session")
 def fano_graphs(fano):
-    g1 = cayley_graph(
-        [(n, fano.point_perms[n]) for n in fano.generator_names], list(fano.labels)
-    )
-    g2 = cayley_graph(
-        [(n, fano.line_perms[n]) for n in fano.generator_names], list(fano.labels)
-    )
+    g1 = cayley_graph(list(fano.point_perms.items()), list(fano.labels))
+    g2 = cayley_graph(list(fano.line_perms.items()), list(fano.labels))
     return g1, g2
 
 

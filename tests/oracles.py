@@ -64,7 +64,7 @@ def classes_by_walks(X: MetricGraph, budget: Fraction):
         while stack:
             walk, length = stack.pop()
             if X.dart_target[walk[-1]] == v0:
-                reduced = reduce_dart_path(walk, cyclic=True)
+                reduced = reduce_dart_path(walk)
                 if reduced:
                     word = CyclicWord(reduced)
                     geo = sum((X.dart_length(d) for d in reduced), Fraction(0))

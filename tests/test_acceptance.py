@@ -60,8 +60,7 @@ def adjacency_of(graph) -> dict:
 
 def test_criterion_1_fano_group_machinery(fano):
     G = closure([fano.point_perms["A"], fano.point_perms["B"]])
-    H1 = fano.point_stabilizer("100")
-    H2 = fano.line_stabilizer("100")
+    H1, H2 = fano.h1, fano.h2
     gs = is_gassmann_sunada(fano.group, H1, H2)
     print(gs.table())
     ok = (

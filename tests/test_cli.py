@@ -352,6 +352,14 @@ def _bad_input_files(tmp_path):
         ["export-dot", "--input", "nested.json"],
         # a tree has no class to walk, but its budget is still checked
         ["covspec", "--input", "tree.json", "--budget", "0"],
+        # usage errors: argparse's exit 2 is reserved for stopped runs
+        ["covspec"],
+        ["repro", "--n", "x"],
+        ["nosuch"],
+        ["export-dot", "--fano", "diamonds"],
+        # arguments that the chosen source would ignore
+        ["triple", "--h1", "a.txt", "--h2", "b.txt"],
+        ["export-dot", "--fano", "points", "--input", "g.json"],
     ],
 )
 def test_bad_input_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, argv):
@@ -366,6 +374,13 @@ def test_bad_input_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, ar
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["triple", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: covspec")
 
 
 # sha256 of the stdout of fixed runs: the output bytes are part of the
@@ -495,3 +510,9 @@ def test_generated_inputs_exit_with_a_documented_code(case):
     assert code in (0, 2, 3)
     assert err.getvalue().count("error:") <= 1
     assert (code == 0) == (err.getvalue() == "")
+
+
+def test_readme_library_block_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

@@ -42,7 +42,7 @@ def adjacency_of(graph: ColoredGraph) -> dict:
 
 def fano_gens(fano, which: str):
     perms = fano.point_perms if which == "points" else fano.line_perms
-    return [(n, perms[n]) for n in fano.generator_names]
+    return list(perms.items())
 
 
 class TestColoredGraph:
@@ -111,12 +111,12 @@ class TestSchreier:
         assert color_isomorphism(g, full) is not None
 
     def test_point_stabilizer_quotient(self, fano, fano_graphs):
-        g = schreier_graph(fano.group, fano.point_stabilizer(), fano_gens(fano, "points"))
+        g = schreier_graph(fano.group, fano.h1, fano_gens(fano, "points"))
         assert g.vertex_count == 7  # index [G:H]
         assert color_isomorphism(g, fano_graphs[0]) is not None
 
     def test_line_stabilizer_quotient(self, fano, fano_graphs):
-        g = schreier_graph(fano.group, fano.line_stabilizer(), fano_gens(fano, "points"))
+        g = schreier_graph(fano.group, fano.h2, fano_gens(fano, "points"))
         assert color_isomorphism(g, fano_graphs[1]) is not None
 
     @pytest.mark.parametrize("seed", range(8))
@@ -128,12 +128,16 @@ class TestSchreier:
             if G.order == fano.group.order:
                 break
         point, line = rng.randrange(7), rng.randrange(7)
-        line_of = [fano.line_action_of[fano.group.index[g.images]] for g in G.elements]
+        # points and lines are labeled by the nonzero vectors 1..7 of GF(2)^3,
+        # and a line holds the points orthogonal to its label
+        on_line = {j for j in range(7) if bin((j + 1) & (line + 1)).count("1") % 2 == 0}
         subgroups = [
             subgroup_generated(G, []),
             subgroup_generated(G, [a, b]),
             stabilizer(G, point),
-            Subgroup(G, frozenset(i for i, lp in enumerate(line_of) if lp(line) == line)),
+            Subgroup(G, frozenset(
+                i for i, g in enumerate(G.elements) if {g(j) for j in on_line} == on_line
+            )),
             subgroup_generated(G, [rng.choice(G.elements)]),
         ]
         assert [H.order for H in subgroups[:4]] == [1, 168, 24, 24]

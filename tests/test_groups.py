@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from covspec import (
     CapExceededError,
-    GF2Matrix,
     Permutation,
     closure,
+    fano_generators,
+    fano_triple,
     is_gassmann_sunada,
     is_jump_equivalent,
     load_generators,
@@ -20,10 +21,12 @@ from covspec import (
 )
 from covspec import groups as groups_mod
 from covspec.groups import (
+    FANO_LABELS,
     FANO_MATRIX_A,
     FANO_MATRIX_B,
     FiniteGroup,
     Subgroup,
+    _apply_row,
     _matrix_line_perm,
     _matrix_point_perm,
     _meet_subgroups,
@@ -148,18 +151,33 @@ class TestFanoActions:
                         reach.add(p(v))
                         frontier.append(p(v))
             assert len(reach) == 7
-        # faithful: no nontrivial element acts as the identity on lines
-        assert Permutation.identity(7) not in fano.line_action_of[1:]
+        # faithful: the line action of the 168 elements keeps them distinct
+        assert closure(list(fano.line_perms.values())).order == 168
 
     def test_matrices_invertible_and_compatible(self, fano):
-        assert det(FANO_MATRIX_A.rows) % 2 == det(FANO_MATRIX_B.rows) % 2 == 1
+        assert det(FANO_MATRIX_A) % 2 == det(FANO_MATRIX_B) % 2 == 1
         # row i of AB is row i of A times B
-        ab = GF2Matrix([FANO_MATRIX_B.apply_row(row) for row in FANO_MATRIX_A.rows])
+        ab = tuple(_apply_row(row, FANO_MATRIX_B) for row in FANO_MATRIX_A)
         prodperm = fano.point_perms["A"] * fano.point_perms["B"]
         assert _matrix_point_perm(ab) == prodperm
 
     def test_singular_matrix(self):
-        assert det(GF2Matrix([(1, 1, 0), (1, 1, 0), (0, 0, 1)]).rows) % 2 == 0
+        assert det(((1, 1, 0), (1, 1, 0), (0, 0, 1))) % 2 == 0
+
+    def test_triple_matches_the_14_point_closure(self):
+        """fano_triple against GL(3,2) closed on the points 0-6 and the lines
+        7-13 side by side, where both stabilizers are point stabilizers."""
+        G, H1, H2 = fano_triple()
+        point, line = fano_generators()
+        G14 = closure(
+            [Permutation(point[n].images + tuple(7 + j for j in line[n].images)) for n in point]
+        )
+        i = FANO_LABELS.index("100")
+        K1, K2 = stabilizer(G14, i), stabilizer(G14, 7 + i)
+        assert [g.images for g in G.elements] == [g.images[:7] for g in G14.elements]
+        assert (H1.members, H2.members) == (K1.members, K2.members)
+        assert is_gassmann_sunada(G, H1, H2).rows == is_gassmann_sunada(G14, K1, K2).rows
+        assert is_jump_equivalent(G, H1, H2) == is_jump_equivalent(G14, K1, K2)
 
 
 class TestSubgroups:
@@ -186,7 +204,7 @@ class TestSubgroups:
 
     def test_duplicate_redundant_and_reordered_generators(self, fano):
         G = fano.group
-        a, b = [G.elements[i] for i in sorted(fano.point_stabilizer().members)][5:7]
+        a, b = [G.elements[i] for i in sorted(fano.h1.members)][5:7]
         expected = subgroup_generated(G, [a, b]).members
         assert 1 < len(expected) < G.order
         for gens in ([b, a], [a, a, b, a, b], [G.elements[0], a, b, a * b], [a * b, b.inverse(), a]):
@@ -198,12 +216,12 @@ class TestSubgroups:
                 subgroup_generated(fano.group, [fano.group.elements[3], Permutation(foreign)])
 
     def test_stabilizer_orders(self, fano):
-        assert fano.point_stabilizer("100").order == 24
-        assert fano.line_stabilizer("100").order == 24
+        assert fano.h1.order == 24
+        assert fano.h2.order == 24
 
     def test_constructed_subgroups_are_closed(self, fano):
         G, g = fano.group, fano.group.elements[5]
-        for H in (fano.point_stabilizer(), fano.line_stabilizer(), subgroup_generated(G, [g])):
+        for H in (fano.h1, fano.h2, subgroup_generated(G, [g])):
             assert H.members == subgroup_by_closure(G, [G.elements[i] for i in H.members])
 
     def test_stabilizer_trivial_group(self):
@@ -217,11 +235,11 @@ class TestSubgroups:
 
 class TestGassmannSunada:
     def test_equal_subgroups(self, fano):
-        H = fano.point_stabilizer()
+        H = fano.h1
         assert is_gassmann_sunada(fano.group, H, H).verdict
 
     def test_fano_triple(self, fano):
-        H1, H2 = fano.point_stabilizer(), fano.line_stabilizer()
+        H1, H2 = fano.h1, fano.h2
         assert H1.members != H2.members
         rep = is_gassmann_sunada(fano.group, H1, H2)
         assert rep.verdict
@@ -230,7 +248,7 @@ class TestGassmannSunada:
         assert "class size" in rep.table()
 
     def test_symmetric(self, fano):
-        H1, H2 = fano.point_stabilizer(), fano.line_stabilizer()
+        H1, H2 = fano.h1, fano.h2
         a = is_gassmann_sunada(fano.group, H1, H2)
         b = is_gassmann_sunada(fano.group, H2, H1)
         assert a.verdict == b.verdict
@@ -246,13 +264,13 @@ class TestGassmannSunada:
 
 class TestJumpEquivalence:
     def test_reflexive(self, fano):
-        H = fano.point_stabilizer()
+        H = fano.h1
         rep = is_jump_equivalent(fano.group, H, H)
         assert rep.verdict and rep.witness is None
         assert rep.stable_subset_count == 64
 
     def test_conjugate_subgroups(self, fano):
-        G, H = fano.group, fano.point_stabilizer()
+        G, H = fano.group, fano.h1
         g = G.elements[100]
         conjugate = frozenset(G.index[G.elements[i].conjugate_by(g).images] for i in H.members)
         assert is_jump_equivalent(G, Subgroup(G, conjugate), H).verdict
@@ -260,7 +278,7 @@ class TestJumpEquivalence:
     def test_fano_triple_verdict(self, fano):
         # recorded as computed by the exhaustive check over all 64 stable
         # subsets; the two stabilizers are not conjugate, yet equivalent
-        H1, H2 = fano.point_stabilizer(), fano.line_stabilizer()
+        H1, H2 = fano.h1, fano.h2
         rep = is_jump_equivalent(fano.group, H1, H2)
         assert rep.verdict
         assert is_jump_equivalent(fano.group, H2, H1).verdict  # symmetric
@@ -289,7 +307,7 @@ class TestJumpEquivalence:
     def test_class_cap(self, fano, monkeypatch):
         monkeypatch.setattr(groups_mod, "CONJUGACY_CLASS_CAP", 3)
         with pytest.raises(CapExceededError):
-            is_jump_equivalent(fano.group, fano.point_stabilizer(), fano.line_stabilizer())
+            is_jump_equivalent(fano.group, fano.h1, fano.h2)
 
 
 def _gl32_on_points_and_lines(rng):
@@ -298,8 +316,8 @@ def _gl32_on_points_and_lines(rng):
     while True:
         mats = []
         while len(mats) < 2:
-            M = GF2Matrix([[rng.randint(0, 1) for _ in range(3)] for _ in range(3)])
-            if det(M.rows) % 2:
+            M = tuple(tuple(rng.randint(0, 1) for _ in range(3)) for _ in range(3))
+            if det(M) % 2:
                 mats.append(M)
         gens = [
             Permutation(_matrix_point_perm(M).images + tuple(7 + j for j in _matrix_line_perm(M).images))

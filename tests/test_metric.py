@@ -76,9 +76,7 @@ class TestMetricGraph:
         assert len(x1.spanning_tree) == 6
 
     def test_full_cayley_rank(self, fano):
-        graph = regular_cayley_by_products(
-            fano.group, [(n, fano.point_perms[n]) for n in fano.generator_names]
-        )
+        graph = regular_cayley_by_products(fano.group, list(fano.point_perms.items()))
         X = MetricGraph(graph, {"A": LA, "B": LB})
         assert X.rank == 169
 

@@ -154,8 +154,7 @@ class TestGraphSpectra:
         # rebuild the point graph with permuted vertex order: same spectrum
         pi = [4, 2, 6, 0, 3, 5, 1]
         perms = []
-        for name in fano.generator_names:
-            p = fano.point_perms[name]
+        for name, p in fano.point_perms.items():
             images = [0] * 7
             for v in range(7):
                 images[pi[v]] = pi[p(v)]

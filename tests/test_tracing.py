@@ -48,7 +48,7 @@ try:
     torus = cv.spectrum.covering_spectrum_lattice([[2, 0], [0, 3]])
     assert torus.display() == ["1/1", "3/2"]
     # the group and graph layers, as a Gassmann-Sunada triple is checked
-    gens = list(covspec.fano_actions().point_perms.items())
+    gens = list(covspec.fano_generators()[0].items())
     G = cv.groups.closure([p for _, p in gens])
     H1 = cv.groups.stabilizer(G, 0)
     H2 = cv.groups.subgroup_generated(G, [gens[1][1]])
