@@ -272,6 +272,8 @@ def graph_from_json(text: str) -> tuple[ColoredGraph, dict[str, str] | None]:
                 if e.color not in seen:
                     seen.append(e.color)
             colors = seen
+        elif not isinstance(colors, list):
+            raise TypeError('"colors" must be a list')
         graph = ColoredGraph(vertices, edges, [str(c) for c in colors])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: missing or bad field {exc}") from exc

@@ -23,6 +23,7 @@ package are right actions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -165,8 +166,10 @@ class Subgroup:
         return len(self.members)
 
 
-def closure(generators: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Generate a finite group by breadth-first closure from the identity."""
+def closure(generators: Sequence[Permutation], cap: int | None = None) -> FiniteGroup:
+    """Generate a finite group by breadth-first closure from the identity,
+    of at most ``cap`` elements (``DEFAULT_ORDER_CAP`` if None)."""
+    cap = DEFAULT_ORDER_CAP if cap is None else cap
     if not generators:
         raise ValueError("need at least one generator (use the identity for the trivial group)")
     degree = generators[0].degree
@@ -283,9 +286,11 @@ def is_jump_equivalent(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> JumpEquiva
     """Exhaustively compare subgroup-equality patterns over stable subsets.
 
     Conjugation-stable subsets of G are exactly unions of conjugacy classes,
-    so there are 2^c of them; ``_meet_subgroups`` gives <H_i ∩ S> for each,
-    and the patterns agree iff the two induced partitions of the subset
-    lattice coincide.  More than ``CONJUGACY_CLASS_CAP`` classes raise
+    so there are 2^c of them; ``_meet_subgroups`` gives <H_i ∩ S> for each.
+    A mask has a witness partner iff its H1 block differs from its H2
+    block, that is, unless the masks with its pattern pair fill both.  The
+    first such mask has all its partners above it, and the witness pairs
+    it with the first.  More than ``CONJUGACY_CLASS_CAP`` classes raise
     CapExceededError.
     """
     _check_subgroups(G, H1, H2)
@@ -293,35 +298,29 @@ def is_jump_equivalent(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> JumpEquiva
     if n > CONJUGACY_CLASS_CAP:
         raise CapExceededError(f"{n} conjugacy classes exceeds cap {CONJUGACY_CLASS_CAP}")
     patterns = list(zip(_meet_subgroups(G, H1), _meet_subgroups(G, H2)))
-    # the partitions coincide iff pairing their blocks is a bijection
-    h1_blocks = {p1 for p1, _ in patterns}
-    h2_blocks = {p2 for _, p2 in patterns}
-    if len(set(patterns)) == len(h1_blocks) == len(h2_blocks):
-        return JumpEquivalenceReport(True, None, 1 << n)
-    # locate a witness pair of masks
-    for i in range(1 << n):
-        for j in range(i + 1, 1 << n):
-            if (patterns[i][0] == patterns[j][0]) != (patterns[i][1] == patterns[j][1]):
-                s = tuple(k for k in range(n) if i >> k & 1)
-                t = tuple(k for k in range(n) if j >> k & 1)
-                return JumpEquivalenceReport(False, (s, t), 1 << n)
-    raise AssertionError("partition mismatch without witness")
+    pairs, h1_blocks = Counter(patterns), Counter(p1 for p1, _ in patterns)
+    h2_blocks = Counter(p2 for _, p2 in patterns)
+    for i, (p1, p2) in enumerate(patterns):
+        if not pairs[p1, p2] == h1_blocks[p1] == h2_blocks[p2]:
+            j = next(j for j in range(i + 1, 1 << n)
+                     if (patterns[j][0] == p1) != (patterns[j][1] == p2))
+            witness = tuple(tuple(k for k in range(n) if m >> k & 1) for m in (i, j))
+            return JumpEquivalenceReport(False, witness, 1 << n)
+    return JumpEquivalenceReport(True, None, 1 << n)
 
 
 def _meet_subgroups(G: FiniteGroup, H: Subgroup) -> list[frozenset[int]]:
-    """<H ∩ S> for every union S of G's classes, by class mask.  The meet of
-    mask m is that of m without its top class k plus H ∩ C_k, so each
-    distinct meet is grown once, from that smaller meet's subgroup."""
+    """<H ∩ S> for every union S of G's classes, by class mask.  Only the
+    classes that meet H (``live``) matter: each submask of ``live`` is grown
+    once, from the one without its top class k, by H ∩ C_k; mask m reads m & live."""
     parts = [[i for i in cls if i in H.members] for cls in G.conjugacy_classes()]
-    meets, grown = [frozenset()], {frozenset(): (frozenset([0]), ())}
-    for mask in range(1, 1 << len(parts)):
+    live = sum(1 << k for k, part in enumerate(parts) if part)
+    grown, mask = {0: (frozenset([0]), ())}, live & -live
+    while mask:  # the nonzero submasks of live, in increasing order
         k = mask.bit_length() - 1
-        base = meets[mask ^ (1 << k)]
-        meet = base.union(parts[k])
-        if meet not in grown:
-            grown[meet] = _grow(G, *grown[base], parts[k])
-        meets.append(meet)
-    return [grown[meet][0] for meet in meets]
+        grown[mask] = _grow(G, *grown[mask ^ (1 << k)], parts[k])
+        mask = (mask - live) & live
+    return [grown[mask & live][0] for mask in range(1 << len(parts))]
 
 
 def _check_subgroups(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> None:

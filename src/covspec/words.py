@@ -498,8 +498,6 @@ def verify_certificate(
 
 def _verify_coset_cert(cert, pres, target) -> bool:
     cap, size = cert.evidence["cap"], cert.evidence["table_size"]
-    if cap <= 0:
-        return False
     result = pres.coset_table(cap)
     if result.size != size or result.complete != cert.evidence["complete"]:
         return False

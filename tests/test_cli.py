@@ -322,6 +322,9 @@ def _bad_input_files(tmp_path):
         ("string_to.json", lambda d: d["edges"][1].update(to="0")),
         ("string_vertices.json", lambda d: d.update(vertices="v")),
         ("object_edges.json", lambda d: d.update(edges={})),
+        # read as the colors A and B, or as the object's keys
+        ("string_colors.json", lambda d: d.update(colors="AB")),
+        ("object_colors.json", lambda d: d.update(colors={"A": 1, "B": 2})),
     ):
         doc = json.loads(wedge_json(tmp_path).read_text())
         edit(doc)
@@ -360,6 +363,8 @@ def _bad_input_files(tmp_path):
         # arguments that the chosen source would ignore
         ["triple", "--h1", "a.txt", "--h2", "b.txt"],
         ["export-dot", "--fano", "points", "--input", "g.json"],
+        ["covspec", "--input", "string_colors.json"],
+        ["covspec", "--input", "object_colors.json"],
     ],
 )
 def test_bad_input_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, argv):

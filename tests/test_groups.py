@@ -90,6 +90,11 @@ class TestClosure:
         with pytest.raises(CapExceededError):
             closure([Permutation([1, 2, 0])], cap=2)
 
+    def test_default_cap_is_read_when_closure_runs(self, monkeypatch):
+        monkeypatch.setattr(groups_mod, "DEFAULT_ORDER_CAP", 2)
+        with pytest.raises(CapExceededError):
+            closure([Permutation([1, 2, 0])])
+
     def test_fano_point_group(self, fano):
         G = closure([fano.point_perms["A"], fano.point_perms["B"]])
         assert G.order == 168
@@ -308,6 +313,31 @@ class TestJumpEquivalence:
         monkeypatch.setattr(groups_mod, "CONJUGACY_CLASS_CAP", 3)
         with pytest.raises(CapExceededError):
             is_jump_equivalent(fano.group, fano.h1, fano.h2)
+
+    def test_witness_search_is_linear_in_the_masks(self, monkeypatch):
+        # the cyclic group of order 10 has 10 classes; patched patterns that
+        # differ only at the last two masks force the longest witness search
+        G = closure([Permutation([(k + 1) % 10 for k in range(10)])])
+        H1 = subgroup_generated(G, [G.elements[5]])
+        H2 = subgroup_generated(G, [G.elements[2]])
+        comparisons = [0]
+
+        class Counted:
+            def __eq__(self, other):
+                comparisons[0] += 1
+                return self is other
+
+            def __hash__(self):
+                return 0  # every lookup in a hashed container compares too
+
+        x, y, z, w = (Counted() for _ in range(4))
+        n = 1 << 10
+        patterns = {H1: [x] * (n - 2) + [y, z], H2: [x] * (n - 2) + [w, w]}
+        monkeypatch.setattr(groups_mod, "_meet_subgroups", lambda G, H: patterns[H])
+        rep = is_jump_equivalent(G, H1, H2)
+        assert not rep.verdict
+        assert rep.witness == (tuple(range(1, 10)), tuple(range(10)))
+        assert comparisons[0] <= 16 * n
 
 
 def _gl32_on_points_and_lines(rng):
