@@ -10,12 +10,11 @@ file that cannot be read or written), 141 stdout closed by its reader
 (the status a shell reports for a writer killed by SIGPIPE; no message).
 
 Graph spectra walk marked lengths in increasing order and stop once the
-normal closure of the classes walked is the whole fundamental group.
---budget, or COVSPEC_BUDGET (a rational like 7 or 15/2) when no flag is
-given, sets an inclusive ceiling on the lengths walked; a run that
-reaches the ceiling before that point exits with code 2.  The default
-ceiling, the largest marked length of a free generator's class, always
-suffices.
+normal closure of the classes walked is the whole fundamental group,
+which every run reaches by its longest free generator class.  There is
+no ceiling on the lengths walked by default.  --budget, or
+COVSPEC_BUDGET (a rational like 7 or 15/2) when no flag is given, sets an
+inclusive one; a run that reaches it before saturating exits with code 2.
 """
 
 from __future__ import annotations

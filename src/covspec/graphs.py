@@ -38,6 +38,9 @@ class ColoredGraph:
 
     def _validate(self) -> None:
         n = len(self.vertices)
+        for i, c in enumerate(self.colors):
+            if c in self.colors[:i]:
+                raise ValueError(f"color {c!r} is listed twice")
         ids = [e.id for e in self.edges]
         if ids != list(range(len(ids))):
             raise ValueError("edge ids must be 0..|E|-1 without gaps")

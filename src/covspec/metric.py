@@ -174,7 +174,6 @@ class MetricGraph:
             frontier = nxt
         if len(parent) != n:
             raise ValueError("graph must be connected")
-        self._parent = parent
         self.spanning_tree = frozenset(dart_edge(d) for d in parent.values() if d is not None)
         self.free_generators = [e.id for e in graph.edges if e.id not in self.spanning_tree]
         self._gen_index = {e: k for k, e in enumerate(self.free_generators)}
@@ -182,32 +181,6 @@ class MetricGraph:
     @property
     def rank(self) -> int:
         return self.graph.edge_count - self.graph.vertex_count + 1
-
-    def dart_length(self, d: int) -> Fraction:
-        return self.edge_lengths[dart_edge(d)]
-
-    def tree_path_to_root(self, v: int) -> list[int]:
-        """Darts walking from v up to the root inside the spanning tree."""
-        out = []
-        while (d := self._parent[v]) is not None:
-            out.append(dart_reverse(d))
-            v = self.dart_origin[d]
-        return out
-
-    def generator_loop(self, gen: int) -> list[int]:
-        """Fundamental loop of a free generator, based at the root, unreduced."""
-        eid = self.free_generators[gen]
-        up = self.tree_path_to_root(self.dart_origin[2 * eid])
-        down = self.tree_path_to_root(self.dart_target[2 * eid])
-        return [dart_reverse(d) for d in reversed(up)] + [2 * eid] + down
-
-    def generator_class_lengths(self) -> list[Fraction]:
-        """Marked length of each free generator's conjugacy class."""
-        out = []
-        for k in range(self.rank):
-            loop = reduce_dart_path(self.generator_loop(k))
-            out.append(sum((self.dart_length(d) for d in loop), Fraction(0)))
-        return out
 
 
 def check_closed_loop(X: MetricGraph, darts: Sequence[int]) -> None:

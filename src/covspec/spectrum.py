@@ -228,12 +228,16 @@ def covering_spectrum(
 
     Classes are taken from the length-ordered stream level by level until
     every free generator of the fundamental group is certified inside the
-    saturated closure, past which no further jumps can exist.  ``budget``
-    is an inclusive ceiling on the lengths walked.  Its default is the
-    largest marked length of a free generator's class: by then every
-    generator class is itself a relator, so the default always
-    saturates.  A ceiling reached before saturation raises
-    BudgetExhaustedError.
+    saturated closure, past which no further jumps can exist.  ``budget``,
+    when given, is an inclusive ceiling on the lengths walked, and a
+    ceiling reached before saturation raises BudgetExhaustedError.
+
+    Without a budget the run still stops: a free generator's class
+    rewrites to the one-letter word ±(g+1), and once that class is a
+    relator the syntactic tier's exact-power search certifies (g+1,).
+    So the closure saturates by the longest generator class at the
+    latest.  ``metric.CLASS_CAP`` still bounds the stream of a graph
+    whose longest generator class lies far out.
     """
     if budget is not None and Fraction(budget) <= 0:
         raise ValueError("budget must be positive")
@@ -242,13 +246,15 @@ def covering_spectrum(
         report.processed_to = Fraction(0)
         return CoveringSpectrum(()), report
 
-    budget = Fraction(budget) if budget is not None else max(X.generator_class_lengths())
-
-    classes = takewhile(lambda c: c.length <= budget, iter_classes(X))
+    classes = iter_classes(X)
+    if budget is not None:
+        budget = Fraction(budget)
+        classes = takewhile(lambda c: c.length <= budget, classes)
     jumps, report.processed_to = jump_set(((c.length, c) for c in classes),
                                           _NormalClosureOracle(X, report))
     # jump_set asked saturated() at the last level walked, and a False
-    # there left some generator uncertified
+    # there left some generator uncertified; only a ceiling can cut the
+    # stream before that
     if None in report.generator_certificates:
         raise BudgetExhaustedError(f"no saturation up to the budget {budget}")
     return CoveringSpectrum(tuple(v / 2 for v in jumps)), report

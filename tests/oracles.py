@@ -4,7 +4,8 @@ These deliberately avoid the library's search strategies: class
 enumeration walks ALL closed walks (backtracking allowed) and reduces
 them, lattice vectors are listed by scanning a whole coefficient box,
 the lattice jump scan recomputes an echelon form from scratch at every
-membership query, and the coset graph forms the coset of every
+membership query, tree paths and fundamental loops come from a
+breadth-first search of the spanning tree alone, and the coset graph forms the coset of every
 group element on its own instead of one pass of left orbits.  The group
 oracles keep the group layer's first, index-free paths, multiplying with
 ``Permutation`` products: closure and generated subgroups by
@@ -25,7 +26,15 @@ from time import perf_counter
 from covspec.graphs import ColoredGraph, Edge, cayley_graph
 from covspec.groups import CapExceededError, Permutation
 from covspec.lattices import IntLattice
-from covspec.metric import CyclicWord, MetricGraph, loop_to_free_word, reduce_dart_path, render_loop
+from covspec.metric import (
+    CyclicWord,
+    MetricGraph,
+    dart_edge,
+    dart_reverse,
+    loop_to_free_word,
+    reduce_dart_path,
+    render_loop,
+)
 from covspec.spectrum import QueryRecord, UndecidedOracleError, _NormalClosureOracle
 from covspec.words import (
     CONJUGATOR_LENGTH,
@@ -59,23 +68,56 @@ def classes_by_walks(X: MetricGraph, budget: Fraction):
 
     found: dict[CyclicWord, Fraction] = {}
     for v0 in range(X.graph.vertex_count):
-        stack = [((d,), X.dart_length(d)) for d in X.out_darts[v0]
-                 if within(X.dart_length(d))]
+        stack = [((d,), X.edge_lengths[dart_edge(d)]) for d in X.out_darts[v0]
+                 if within(X.edge_lengths[dart_edge(d)])]
         while stack:
             walk, length = stack.pop()
             if X.dart_target[walk[-1]] == v0:
                 reduced = reduce_dart_path(walk)
                 if reduced:
                     word = CyclicWord(reduced)
-                    geo = sum((X.dart_length(d) for d in reduced), Fraction(0))
+                    geo = sum((X.edge_lengths[dart_edge(d)] for d in reduced), Fraction(0))
                     if word not in found or geo < found[word]:
                         found[word] = geo
             v = X.dart_target[walk[-1]]
             for d in X.out_darts[v]:  # backtracking allowed on purpose
-                total = length + X.dart_length(d)
+                total = length + X.edge_lengths[dart_edge(d)]
                 if within(total):
                     stack.append((walk + (d,), total))
     return found
+
+
+def tree_path_to_root(X: MetricGraph, v: int, root: int = 0) -> list[int]:
+    """Darts walking from v to the root inside ``X.spanning_tree``, found by
+    a breadth-first search over the tree edges alone."""
+    to_root: dict[int, list[int]] = {root: []}
+    frontier = [root]
+    while v not in to_root and frontier:
+        nxt = []
+        for u in frontier:
+            for d in X.out_darts[u]:
+                w = X.dart_target[d]
+                if dart_edge(d) in X.spanning_tree and w not in to_root:
+                    to_root[w] = [dart_reverse(d)] + to_root[u]
+                    nxt.append(w)
+        frontier = nxt
+    return to_root[v]
+
+
+def generator_loop(X: MetricGraph, gen: int, root: int = 0) -> list[int]:
+    """Fundamental loop of free generator ``gen``, based at the root, unreduced."""
+    e = X.free_generators[gen]
+    up = tree_path_to_root(X, X.dart_origin[2 * e], root)
+    down = tree_path_to_root(X, X.dart_target[2 * e], root)
+    return [dart_reverse(d) for d in reversed(up)] + [2 * e] + down
+
+
+def generator_class_lengths(X: MetricGraph) -> list[Fraction]:
+    """Marked length of each free generator's class: the length of its
+    fundamental loop once cyclically reduced."""
+    return [sum((X.edge_lengths[dart_edge(d)] for d in reduce_dart_path(generator_loop(X, k))),
+                Fraction(0))
+            for k in range(X.rank)]
 
 
 def _echelon(rows: list[list[int]]) -> list[list[int]]:

@@ -37,6 +37,7 @@ from covspec.fano_data import (
     X2_MINIMAL_LOOPS,
     expected_length_multiset,
 )
+from covspec.metric import dart_edge
 
 from oracles import lattice_jump_scan
 
@@ -139,7 +140,7 @@ def test_criterion_4_minimal_loop_table(fano_run):
         for (a, b), name in table:
             w = parse_loop(X, name)
             ok = ok and w in words and a * LA + b * LB == sum(
-                (X.dart_length(d) for d in w.darts), Fraction(0)
+                (X.edge_lengths[dart_edge(d)] for d in w.darts), Fraction(0)
             )
     report(
         "criterion 4: length multiset below l_A+2l_B and listed loops "

@@ -325,6 +325,8 @@ def _bad_input_files(tmp_path):
         # read as the colors A and B, or as the object's keys
         ("string_colors.json", lambda d: d.update(colors="AB")),
         ("object_colors.json", lambda d: d.update(colors={"A": 1, "B": 2})),
+        # export-dot would style the graph by the colors' positions
+        ("repeated_colors.json", lambda d: d.update(colors=["A", "A", "B"])),
     ):
         doc = json.loads(wedge_json(tmp_path).read_text())
         edit(doc)
@@ -365,6 +367,8 @@ def _bad_input_files(tmp_path):
         ["export-dot", "--fano", "points", "--input", "g.json"],
         ["covspec", "--input", "string_colors.json"],
         ["covspec", "--input", "object_colors.json"],
+        ["covspec", "--input", "repeated_colors.json"],
+        ["export-dot", "--input", "repeated_colors.json"],
     ],
 )
 def test_bad_input_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, argv):

@@ -38,6 +38,7 @@ from covspec.words import MembershipCertificate, contraction_nonmember
 from oracles import (
     StatelessOracle,
     det,
+    generator_class_lengths,
     lattice_jump_scan,
     lattice_vectors_by_box,
     replay_stateless,
@@ -578,6 +579,43 @@ class TestMetricInvariance:
         ]
         for Y, expected in variants:
             assert list(decided_run(Y)[0].values) == expected
+
+
+class TestSaturationByGeneratorClasses:
+    """A free generator's class rewrites to a one-letter word, which the
+    syntactic tier certifies once that class is a relator.  So a run with
+    no budget saturates by the longest generator class, and a budget at
+    that length changes nothing in the run."""
+
+    @staticmethod
+    def record(run):
+        spectrum, report = run
+        return (spectrum, report.processed_to, [q.certificate for q in report.queries],
+                report.termination)
+
+    def check(self, X):
+        ceiling = max(generator_class_lengths(X))
+        free = self.record(decided_run(X))
+        assert free[1] <= ceiling
+        assert self.record(covering_spectrum(X, ceiling)) == free
+
+    @given(short_schreier_graphs(max_degree=6))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_generated_graphs(self, X):
+        self.check(X)
+
+    # the list sizes TestClosedForms draws for each shape
+    @given(st.sampled_from(["wedge", "cycle", "theta"]), st.data())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_closed_forms(self, shape, data):
+        low, high = {"wedge": (1, 4), "cycle": (1, 5), "theta": (3, 3)}[shape]
+        lengths = data.draw(st.lists(_lengths, min_size=low, max_size=high), label="lengths")
+        self.check(getattr(TestClosedForms, shape)(lengths))
+
+    def test_fano_pair(self, fano_run):
+        X1, _, _, X2, _, _ = fano_run(LA, LB)
+        self.check(X1)
+        self.check(X2)
 
 
 def embedded(X, loop):
