@@ -13,7 +13,6 @@ from .graphs import (
     color_isomorphism,
     export_dot,
     graph_from_json,
-    graph_to_json,
     schreier_graph,
     surface_genus,
 )

@@ -10,8 +10,8 @@ them against an independent coset construction.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .groups import FiniteGroup, Permutation, Subgroup
@@ -38,6 +38,9 @@ class ColoredGraph:
 
     def _validate(self) -> None:
         n = len(self.vertices)
+        if len(set(self.vertices)) != n:
+            label = next(v for v, k in Counter(self.vertices).items() if k > 1)
+            raise ValueError(f"vertex label {label!r} is listed twice")
         for i, c in enumerate(self.colors):
             if c in self.colors[:i]:
                 raise ValueError(f"color {c!r} is listed twice")
@@ -83,10 +86,6 @@ class ColoredGraph:
 
     def vertex_index(self, label: str) -> int:
         return self.vertices.index(label)
-
-    def adjacency(self) -> set[tuple[str, str, str]]:
-        """Edge set as (origin label, target label, color) triples."""
-        return {(self.vertices[e.origin], self.vertices[e.target], e.color) for e in self.edges}
 
     def __eq__(self, other) -> bool:
         return (
@@ -231,23 +230,7 @@ def export_dot(graph: ColoredGraph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format (shared with the metric layer, which adds "lengths")
-
-
-def graph_to_json(graph: ColoredGraph, lengths: dict[str, object] | None = None) -> str:
-    doc: dict[str, object] = {
-        "vertices": graph.vertices,
-        "colors": graph.colors,
-        "edges": [
-            {"id": e.id, "from": e.origin, "to": e.target, "color": e.color}
-            for e in graph.edges
-        ],
-    }
-    if lengths is not None:
-        # p/q even for integers, as the schema promises
-        doc["lengths"] = {c: "{0.numerator}/{0.denominator}".format(Fraction(q))
-                          for c, q in lengths.items()}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+# JSON wire format (the metric layer reads the optional "lengths")
 
 
 def _json_int(value) -> int:

@@ -29,7 +29,10 @@ CLASS_CAP = 200_000
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' (or a bare integer) into an exact Fraction."""
+    """Parse 'p/q', an integer or a decimal such as '2.5' or '1e3' into an
+    exact Fraction.  Only ASCII digits count, without '_' separators."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"bad rational {text!r}: only ASCII digits without '_' are read")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

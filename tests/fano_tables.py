@@ -1,5 +1,9 @@
 """Golden tables for the Fano plane actions and their Cayley graphs.
 
+The tests compare the constructed graphs and their minimal loops with
+these hand-written tables; the library derives everything from the two
+generator matrices and reads none of them.
+
 Adjacency maps send each vertex label to its successor under the named
 generator.  V1 is the action on points (right multiplication of row
 vectors), V2 the induced action on lines, where a line is labeled by the

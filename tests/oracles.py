@@ -15,10 +15,13 @@ element by element, and jump equivalence by the unmemoised pattern loop
 with a quadratic witness search.  ``action_is_free`` checks the covering
 argument: G acts freely on its Cayley graph from the left.  The membership oracle is kept stateless,
 rebuilding everything it reads from the raw relators on every query.
+``graph_to_json`` writes the graph JSON that ``graph_from_json`` reads,
+for round trips and CLI input files.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import isqrt
 from time import perf_counter
@@ -566,3 +569,19 @@ def replay_stateless(report, X) -> bool:
             return False
     return all(verify_certificate(cert, Presentation(X.rank, relators), (g + 1,))
                for g, cert in enumerate(report.generator_certificates))
+
+
+def graph_to_json(graph: ColoredGraph, lengths: dict[str, object] | None = None) -> str:
+    doc: dict[str, object] = {
+        "vertices": graph.vertices,
+        "colors": graph.colors,
+        "edges": [
+            {"id": e.id, "from": e.origin, "to": e.target, "color": e.color}
+            for e in graph.edges
+        ],
+    }
+    if lengths is not None:
+        # p/q even for integers
+        doc["lengths"] = {c: "{0.numerator}/{0.denominator}".format(Fraction(q))
+                          for c, q in lengths.items()}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -29,7 +29,9 @@ from covspec import (
     surface_genus,
     todd_coxeter,
 )
-from covspec.fano_data import (
+from covspec.metric import dart_edge
+
+from fano_tables import (
     V1_ADJACENCY,
     V1_ADJACENCY_ALT,
     V2_ADJACENCY,
@@ -37,8 +39,6 @@ from covspec.fano_data import (
     X2_MINIMAL_LOOPS,
     expected_length_multiset,
 )
-from covspec.metric import dart_edge
-
 from oracles import lattice_jump_scan
 
 LA, LB = Fraction(2), Fraction(5, 2)
@@ -63,7 +63,7 @@ def test_criterion_1_fano_group_machinery(fano):
     G = closure([fano.point_perms["A"], fano.point_perms["B"]])
     H1, H2 = fano.h1, fano.h2
     gs = is_gassmann_sunada(fano.group, H1, H2)
-    print(gs.table())
+    print("class rows (|C|, |C ∩ H1|, |C ∩ H2|):", gs.rows)
     ok = (
         G.order == 168
         and len(G.conjugacy_classes()) == 6

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from covspec import ColoredGraph, Edge, cli, graph_to_json, groups
+from covspec import ColoredGraph, Edge, cli, groups
 from covspec.cli import main
+
+from oracles import graph_to_json
 
 
 def run_cli(capsys, *argv):
@@ -327,6 +329,8 @@ def _bad_input_files(tmp_path):
         ("object_colors.json", lambda d: d.update(colors={"A": 1, "B": 2})),
         # export-dot would style the graph by the colors' positions
         ("repeated_colors.json", lambda d: d.update(colors=["A", "A", "B"])),
+        # a witness would print A[a]*A[a], and every step would resolve to the first a
+        ("repeated_vertices.json", lambda d: d.update(vertices=["a", "a"])),
     ):
         doc = json.loads(wedge_json(tmp_path).read_text())
         edit(doc)
@@ -369,6 +373,13 @@ def _bad_input_files(tmp_path):
         ["covspec", "--input", "object_colors.json"],
         ["covspec", "--input", "repeated_colors.json"],
         ["export-dot", "--input", "repeated_colors.json"],
+        ["covspec", "--input", "repeated_vertices.json"],
+        ["export-dot", "--input", "repeated_vertices.json"],
+        # Fraction would read 10
+        ["covspec", "--input", "wedge.json", "--budget", "1_0"],
+        # the length error, not the admissibility warning before it
+        ["fano", "--la", "0"],
+        ["repro", "--la", "0"],
     ],
 )
 def test_bad_input_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, argv):

@@ -16,16 +16,16 @@ from covspec import (
     color_isomorphism,
     export_dot,
     graph_from_json,
-    graph_to_json,
     schreier_graph,
     stabilizer,
     subgroup_generated,
     surface_genus,
 )
-from covspec.fano_data import V1_ADJACENCY, V1_ADJACENCY_ALT, V2_ADJACENCY
 
+from fano_tables import V1_ADJACENCY, V1_ADJACENCY_ALT, V2_ADJACENCY
 from oracles import (
     action_is_free,
+    graph_to_json,
     is_color_automorphism,
     left_action_by_products,
     regular_cayley_by_products,
@@ -268,3 +268,6 @@ class TestJson:
             graph_from_json("{not json")
         with pytest.raises(ValueError):
             graph_from_json('{"vertices": ["v"]}')
+        # labels are read as strings, so 1 and "1" name the same vertex
+        with pytest.raises(ValueError, match="listed twice"):
+            graph_from_json('{"vertices": [1, "1"], "edges": []}')

@@ -24,14 +24,10 @@ from covspec import (
     word_inverse,
 )
 from covspec import metric as metric_mod
-from covspec.fano_data import (
-    X1_MINIMAL_LOOPS,
-    X2_MINIMAL_LOOPS,
-    expected_length_multiset,
-)
 from covspec.metric import dart_edge, dart_reverse
 from covspec.words import least_rotation
 
+from fano_tables import X1_MINIMAL_LOOPS, X2_MINIMAL_LOOPS, expected_length_multiset
 from oracles import classes_by_walks, generator_loop, regular_cayley_by_products, tree_path_to_root
 
 LA, LB = Fraction(2), Fraction(5, 2)
@@ -56,6 +52,8 @@ class TestRationals:
     def test_parse_and_format(self):
         assert parse_rational("5/2") == Fraction(5, 2)
         assert parse_rational("7") == Fraction(7)
+        assert parse_rational("-2.5") == Fraction(-5, 2)
+        assert parse_rational("1e3") == Fraction(1000)
         assert format_rational(Fraction(1)) == "1/1"
         assert format_rational(Fraction(-3, 6)) == "-1/2"
 
@@ -64,6 +62,10 @@ class TestRationals:
             parse_rational("1/0")
         with pytest.raises(ValueError):
             parse_rational("abc")
+        # Fraction reads digit separators and non-ASCII digits; the CLI does not
+        for text in ("1_0", "\u0661"):
+            with pytest.raises(ValueError):
+                parse_rational(text)
 
 
 class TestMetricGraph:
