@@ -5,9 +5,10 @@ All reports are printed as deterministic JSON (sorted keys), so identical
 inputs produce byte-identical output.
 
 Exit codes: 0 pass, 1 assertion failure, 2 undecided oracle, exhausted
-budget or exceeded cap, 3 input error (bad arguments or file contents, or a
-file that cannot be read or written), 141 stdout closed by its reader
-(the status a shell reports for a writer killed by SIGPIPE; no message).
+budget, exceeded cap or out of memory, 3 input error (bad arguments or file
+contents, or a file that cannot be read or written), 141 stdout closed by
+its reader (the status a shell reports for a writer killed by SIGPIPE;
+no message).
 
 Graph spectra walk marked lengths in increasing order and stop once the
 normal closure of the classes walked is the whole fundamental group,
@@ -23,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,6 +83,11 @@ def _load_metric_graph(path: str) -> MetricGraph:
     graph, lengths = graph_from_json(text)
     if lengths is None:
         raise ValueError(f"{path}: graph JSON carries no \"lengths\" field")
+    # a witness step C[v] names the one C-edge leaving v
+    starts = [(e.origin, e.color) for e in graph.edges]
+    if len(set(starts)) != len(starts):
+        v, c = next(k for k, m in Counter(starts).items() if m > 1)
+        raise ValueError(f"vertex {graph.vertices[v]!r} has two out-edges of color {c!r}")
     return MetricGraph(graph, {c: parse_rational(q) for c, q in lengths.items()})
 
 
@@ -351,6 +358,9 @@ def main(argv=None) -> int:
         return code
     except (UndecidedOracleError, BudgetExhaustedError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_UNDECIDED
     except BrokenPipeError:
         # the flush at interpreter exit would fail again on the closed pipe

@@ -33,8 +33,6 @@ class ColoredGraph:
         self.edges = sorted(edges, key=lambda e: e.id)
         self.colors = list(colors)
         self._validate()
-        self._out = {(e.origin, e.color): e for e in self.edges}
-        self._in = {(e.target, e.color): e for e in self.edges}
 
     def _validate(self) -> None:
         n = len(self.vertices)
@@ -63,13 +61,6 @@ class ColoredGraph:
             if sorted(e.target for e in edges) != list(range(n)):
                 raise ValueError(f"color {c!r} is not an in-regular matching")
 
-    def is_cayley_regular(self) -> bool:
-        try:
-            self.check_cayley_regular()
-        except ValueError:
-            return False
-        return True
-
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -77,12 +68,6 @@ class ColoredGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def out_edge(self, v: int, color: str) -> Edge:
-        return self._out[(v, color)]
-
-    def in_edge(self, v: int, color: str) -> Edge:
-        return self._in[(v, color)]
 
     def vertex_index(self, label: str) -> int:
         return self.vertices.index(label)
@@ -158,49 +143,35 @@ def schreier_graph(
 def color_isomorphism(g1: ColoredGraph, g2: ColoredGraph) -> list[int] | None:
     """A color-preserving isomorphism g1 -> g2 as a vertex map, or None.
 
-    Regularity makes the image of one vertex propagate to the rest, so the
-    search is an anchor choice followed by a forced flood fill.
+    Every color of a regular graph is a permutation, whose cycles close, so out-edges
+    from an anchor for vertex 0 force the map over its component (None if g1 is
+    disconnected); a bijection keeping all n*|colors| out-edges maps edges onto g2's.
     """
     if g1.vertex_count != g2.vertex_count or sorted(g1.colors) != sorted(g2.colors):
         return None
-    if not (g1.is_cayley_regular() and g2.is_cayley_regular()):
-        raise ValueError("isomorphism search requires Cayley-regular graphs")
     n = g1.vertex_count
-    if n == 0:
-        return []
+    succ1, succ2 = ({c: [0] * n for c in g.colors} for g in (g1, g2))
+    for succ, g in ((succ1, g1), (succ2, g2)):
+        g.check_cayley_regular()
+        for e in g.edges:
+            succ[e.color][e.origin] = e.target
     for anchor in range(n):
-        mapping: dict[int, int] = {0: anchor}
+        vmap = [anchor] + [-1] * (n - 1)
         stack = [0]
         ok = True
         while stack and ok:
             v = stack.pop()
             for c in g1.colors:
-                for e1, e2, forward in (
-                    (g1.out_edge(v, c), g2.out_edge(mapping[v], c), True),
-                    (g1.in_edge(v, c), g2.in_edge(mapping[v], c), False),
-                ):
-                    w = e1.target if forward else e1.origin
-                    w2 = e2.target if forward else e2.origin
-                    if w in mapping:
-                        if mapping[w] != w2:
-                            ok = False
-                            break
-                    else:
-                        mapping[w] = w2
-                        stack.append(w)
-                if not ok:
+                w, w2 = succ1[c][v], succ2[c][vmap[v]]
+                if vmap[w] < 0:
+                    vmap[w] = w2
+                    stack.append(w)
+                elif vmap[w] != w2:
+                    ok = False
                     break
-        if ok and len(mapping) == n and len(set(mapping.values())) == n:
-            out = [mapping[v] for v in range(n)]
-            if _is_color_iso(g1, g2, out):
-                return out
-    return None
-
-
-def _is_color_iso(g1: ColoredGraph, g2: ColoredGraph, vmap: Sequence[int]) -> bool:
-    want = {(vmap[e.origin], vmap[e.target], e.color) for e in g1.edges}
-    have = {(e.origin, e.target, e.color) for e in g2.edges}
-    return want == have
+        if ok and sorted(vmap) == list(range(n)):
+            return vmap
+    return None if n else []
 
 
 def surface_genus(vertex_count: int, base_genus: int, handle_count: int) -> int:

@@ -283,7 +283,7 @@ def render_loop(X: MetricGraph, word: CyclicWord) -> str:
 
 
 def parse_loop(X: MetricGraph, text: str) -> CyclicWord:
-    """Inverse of render_loop; raises if the steps do not chain into a loop."""
+    """Inverse of render_loop; raises unless each step names one edge and the steps close."""
     darts = []
     for step in text.split("*"):
         m = _STEP_RE.match(step.strip())
@@ -291,7 +291,9 @@ def parse_loop(X: MetricGraph, text: str) -> CyclicWord:
             raise ValueError(f"bad loop step {step!r}")
         color, label, inv = m.groups()
         v = X.graph.vertex_index(label)
-        edge = X.graph.out_edge(v, color)
-        darts.append(2 * edge.id + (1 if inv else 0))
+        found = [d for d in X.out_darts[v] if d % 2 == 0 and X.graph.edges[d // 2].color == color]
+        if len(found) != 1:
+            raise ValueError(f"loop step {step!r} names {len(found)} edges, not one")
+        darts.append(found[0] + (1 if inv else 0))
     check_closed_loop(X, darts)
     return CyclicWord.from_path(darts)

@@ -5,8 +5,10 @@ enumeration walks ALL closed walks (backtracking allowed) and reduces
 them, lattice vectors are listed by scanning a whole coefficient box,
 the lattice jump scan recomputes an echelon form from scratch at every
 membership query, tree paths and fundamental loops come from a
-breadth-first search of the spanning tree alone, and the coset graph forms the coset of every
-group element on its own instead of one pass of left orbits.  The group
+breadth-first search of the spanning tree alone, the coset graph forms the coset of every
+group element on its own instead of one pass of left orbits, and color
+isomorphisms are found by trying every vertex bijection instead of a
+forced flood fill.  The group
 oracles keep the group layer's first, index-free paths, multiplying with
 ``Permutation`` products: closure and generated subgroups by
 ``Permutation`` breadth-first search, conjugacy classes by
@@ -22,7 +24,9 @@ for round trips and CLI input files.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import isqrt
 from time import perf_counter
 
@@ -303,10 +307,20 @@ def is_color_automorphism(graph: ColoredGraph, p: Permutation) -> bool:
     """Does the vertex permutation commute with every colored successor map?"""
     if p.degree != graph.vertex_count:
         return False
-    for e in graph.edges:
-        if graph.out_edge(p(e.origin), e.color).target != p(e.target):
-            return False
-    return True
+    succ = {(e.origin, e.color): e.target for e in graph.edges}
+    return all(succ[p(e.origin), e.color] == p(e.target) for e in graph.edges)
+
+
+def color_isomorphisms_by_search(g1: ColoredGraph, g2: ColoredGraph) -> list[list[int]]:
+    """Every vertex bijection g1 -> g2 that maps g1's colored edge multiset
+    onto g2's, found by trying all n! maps."""
+    if g1.vertex_count != g2.vertex_count:
+        return []
+    have = Counter((e.origin, e.target, e.color) for e in g2.edges)
+    return [
+        list(p) for p in permutations(range(g1.vertex_count))
+        if Counter((p[e.origin], p[e.target], e.color) for e in g1.edges) == have
+    ]
 
 
 def action_is_free(graph: ColoredGraph, perms) -> bool:

@@ -268,6 +268,14 @@ class TestTorusCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "exceeds cap" in err
 
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        def exhausted(rows):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "covering_spectrum_lattice", exhausted)
+        code, out, err = run_cli(capsys, "torus", "--basis", "1e300000 0; 0 1")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
 
 class TestReproCommand:
     def test_small_run(self, capsys):
@@ -331,6 +339,8 @@ def _bad_input_files(tmp_path):
         ("repeated_colors.json", lambda d: d.update(colors=["A", "A", "B"])),
         # a witness would print A[a]*A[a], and every step would resolve to the first a
         ("repeated_vertices.json", lambda d: d.update(vertices=["a", "a"])),
+        # two A-loops at v: a witness would print A[v], which names neither
+        ("same_color_loops.json", lambda d: d["edges"][1].update(color="A")),
     ):
         doc = json.loads(wedge_json(tmp_path).read_text())
         edit(doc)
@@ -380,6 +390,7 @@ def _bad_input_files(tmp_path):
         # the length error, not the admissibility warning before it
         ["fano", "--la", "0"],
         ["repro", "--la", "0"],
+        ["covspec", "--input", "same_color_loops.json"],
     ],
 )
 def test_bad_input_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, argv):

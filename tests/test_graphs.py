@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covspec import (
     ColoredGraph,
@@ -25,6 +27,7 @@ from covspec import (
 from fano_tables import V1_ADJACENCY, V1_ADJACENCY_ALT, V2_ADJACENCY
 from oracles import (
     action_is_free,
+    color_isomorphisms_by_search,
     graph_to_json,
     is_color_automorphism,
     left_action_by_products,
@@ -38,6 +41,34 @@ def adjacency_of(graph: ColoredGraph) -> dict:
     for e in graph.edges:
         out[e.color][graph.vertices[e.origin]] = graph.vertices[e.target]
     return out
+
+
+def is_connected(graph: ColoredGraph) -> bool:
+    try:
+        MetricGraph(graph, {c: 1 for c in graph.colors})
+    except ValueError:  # on a nonempty graph with positive lengths, only a disconnected one
+        return False
+    return True
+
+
+@st.composite
+def colored_graph_pairs(draw):
+    """Two Cayley-regular graphs on at most 6 vertices with the same 1-3
+    colors, listed in either order: a relabelled copy or an independent draw."""
+    n = draw(st.integers(1, 6))
+    colors = ["A", "B", "C"][: draw(st.integers(1, 3))]
+    succ = {c: draw(st.permutations(range(n))) for c in colors}
+    g1 = cayley_graph([(c, Permutation(succ[c])) for c in colors])
+    if draw(st.booleans()):
+        pi = draw(st.permutations(range(n)))
+        other = {c: [0] * n for c in colors}
+        for c in colors:
+            for v in range(n):
+                other[c][pi[v]] = pi[succ[c][v]]
+    else:
+        other = {c: draw(st.permutations(range(n))) for c in colors}
+    order = draw(st.permutations(colors))
+    return g1, cayley_graph([(c, Permutation(other[c])) for c in order])
 
 
 def fano_gens(fano, which: str):
@@ -59,7 +90,6 @@ class TestColoredGraph:
         g = ColoredGraph(
             ["u", "v"], [Edge(0, 0, 1, "A"), Edge(1, 0, 0, "A")], ["A"]
         )
-        assert not g.is_cayley_regular()
         with pytest.raises(ValueError):
             g.check_cayley_regular()
 
@@ -87,13 +117,11 @@ class TestCayleyGraph:
 
     def test_self_loop_positions(self, fano_graphs):
         g1, g2 = fano_graphs
+        a1, a2 = adjacency_of(g1), adjacency_of(g2)
         assert V1_ADJACENCY["A"]["011"] == "011"
-        assert g1.out_edge(g1.vertex_index("011"), "A").target == g1.vertex_index("011")
-        for g in (g1, g2):
-            i = g.vertex_index("111")
-            assert g.out_edge(i, "B").target == i
-        i = g2.vertex_index("100")
-        assert g2.out_edge(i, "A").target == i
+        assert a1["A"]["011"] == "011"
+        assert a1["B"]["111"] == a2["B"]["111"] == "111"
+        assert a2["A"]["100"] == "100"
 
 
 class TestSchreier:
@@ -181,6 +209,22 @@ class TestColorIsomorphism:
                 eid += 1
         alt = ColoredGraph(labels, edges, ["A", "B"])
         assert color_isomorphism(g1, alt) is None
+
+    def test_requires_cayley_regular_graphs(self):
+        g = ColoredGraph(["u", "v"], [Edge(0, 0, 1, "A"), Edge(1, 0, 0, "A")], ["A"])
+        with pytest.raises(ValueError, match="out-regular"):
+            color_isomorphism(g, g)
+
+    # Out-edges alone reach the component of vertex 0, so a disconnected
+    # first graph has no forced map and gives None.
+    @given(colored_graph_pairs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_agrees_with_brute_force(self, pair):
+        g1, g2 = pair
+        isos = color_isomorphisms_by_search(g1, g2)
+        got = color_isomorphism(g1, g2)
+        assert (got is not None) == (bool(isos) and is_connected(g1))
+        assert got is None or got in isos
 
 
 class TestFreeness:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -17,6 +18,7 @@ from covspec import (
     covering_spectrum,
     enumerate_classes,
     format_rational,
+    iter_classes,
     loop_to_free_word,
     parse_loop,
     parse_rational,
@@ -29,6 +31,7 @@ from covspec.words import least_rotation
 
 from fano_tables import X1_MINIMAL_LOOPS, X2_MINIMAL_LOOPS, expected_length_multiset
 from oracles import classes_by_walks, generator_loop, regular_cayley_by_products, tree_path_to_root
+from test_spectrum import schreier_metric_graphs
 
 LA, LB = Fraction(2), Fraction(5, 2)
 CUTOFF = LA + 2 * LB
@@ -160,6 +163,22 @@ class TestMarkedLength:
         for _, name in X1_MINIMAL_LOOPS:
             word = parse_loop(x1, name)
             assert parse_loop(x1, render_loop(x1, word)) == word
+
+    @given(schreier_metric_graphs())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_render_parse_round_trip_on_schreier_graphs(self, X):
+        for c in islice(iter_classes(X), 40):
+            assert parse_loop(X, render_loop(X, c.word)) == c.word
+
+    def test_parse_rejects_a_step_naming_no_edge_or_two(self):
+        # two A-loops at a: render_loop prints A[a] for either
+        g = ColoredGraph(["a"], [Edge(0, 0, 0, "A"), Edge(1, 0, 0, "A")], ["A", "B"])
+        X = MetricGraph(g, {"A": Fraction(1), "B": Fraction(1)})
+        assert render_loop(X, CyclicWord([0])) == render_loop(X, CyclicWord([2])) == "A[a]"
+        with pytest.raises(ValueError, match="names 2 edges"):
+            parse_loop(X, "A[a]")
+        with pytest.raises(ValueError, match="names 0 edges"):
+            parse_loop(X, "B[a]")
 
 
 class TestEnumeration:
