@@ -340,15 +340,23 @@ def todd_coxeter(relators: Sequence[FreeWord], rank: int, cap: int) -> CosetTabl
     """Enumerate cosets of the trivial subgroup in F/<<relators>>.
 
     HLT strategy: scan every relator at every live coset, defining cosets
-    as needed; coincidences are processed with a union-find stack.  The
-    run aborts (complete=False) once the raw table grows past the cap.
-    Deterministic for fixed inputs.
+    as needed; coincidences are processed with a union-find stack, the
+    smaller label surviving.  The run aborts (complete=False) once the raw
+    table grows past the cap.  Raw rows count definitions, including the
+    one a scan's last letter makes: that coset coincides with the scan's
+    start at once, so it keeps only its slot and its one back-edge is
+    folded into the start's row.  Deterministic for fixed inputs.
     """
     if cap <= 0:
         raise ValueError("coset cap must be positive")
     ncols = 2 * rank
-    table: list[list[int | None]] = [[None] * ncols]
-    labels = [0]
+    # letter x reads column 2*(|x|-1), plus 1 for an inverse; an empty
+    # relator scans nothing
+    codes = [[2 * (abs(x) - 1) + (x < 0) for x in rel] for rel in relators]
+    scans = [(cols[:-1], cols[-1]) for cols in codes if cols]
+    # a dead coset's row is None: nothing reads it after its merge
+    table: list[list[int | None] | None] = [[None] * ncols]
+    labels = [0]  # a coset is live iff labels[c] == c
 
     def find(c: int) -> int:
         while labels[c] != c:
@@ -366,54 +374,55 @@ def todd_coxeter(relators: Sequence[FreeWord], rank: int, cap: int) -> CosetTabl
             if x > y:
                 x, y = y, x
             labels[y] = x
-            for k in range(ncols):
-                u = table[y][k]
+            rx, ry = table[x], table[y]
+            table[y] = None
+            for k, u in enumerate(ry):
                 if u is not None:
-                    v = table[x][k]
+                    v = rx[k]
                     if v is None:
-                        table[x][k] = u
+                        rx[k] = u
                     else:
                         stack.append((u, v))
 
+    # no coincidence is processed inside a scan, so its cosets stay live
     overflow = False
     i = 0
     while i < len(labels) and not overflow:
-        if find(i) == i:
-            for rel in relators:
-                start = find(i)
-                cur = start
-                for x in rel:
-                    col = 2 * (abs(x) - 1) + (0 if x > 0 else 1)
-                    cur = find(cur)
+        if labels[i] == i:
+            for body, last in scans:
+                start = cur = find(i)
+                for col in body:
                     nxt = table[cur][col]
                     if nxt is None:
+                        nxt = len(table)
                         table.append([None] * ncols)
-                        labels.append(len(table) - 1)
-                        nxt = len(table) - 1
+                        labels.append(nxt)
                         table[cur][col] = nxt
                         table[nxt][col ^ 1] = cur
-                    cur = find(nxt)
-                merge(cur, start)
+                    elif labels[nxt] != nxt:
+                        nxt = find(nxt)
+                    cur = nxt
+                nxt = table[cur][last]
+                if nxt is None:
+                    table.append(None)
+                    labels.append(start)
+                    table[cur][last] = start
+                    back = table[start][last ^ 1]
+                    if back is None:
+                        table[start][last ^ 1] = cur
+                    else:
+                        merge(cur, back)
+                elif find(nxt) != start:
+                    merge(nxt, start)
                 if len(table) > cap:
                     overflow = True
                     break
         i += 1
 
-    live = [c for c in range(len(labels)) if find(c) == c]
+    live = [c for c, p in enumerate(labels) if p == c]
     lookup = {c: k for k, c in enumerate(live)}
-    out: list[list[int | None]] = []
-    complete = not overflow
-    for c in live:
-        row: list[int | None] = []
-        for k in range(ncols):
-            e = table[c][k]
-            if e is None:
-                row.append(None)
-                complete = False
-            else:
-                row.append(lookup[find(e)])
-        out.append(row)
-    return CosetTable(out, complete)
+    out = [[None if e is None else lookup[find(e)] for e in table[c]] for c in live]
+    return CosetTable(out, not overflow and all(None not in row for row in out))
 
 
 def coset_membership(pres: Presentation, target: Sequence[int]) -> MembershipCertificate | None:
@@ -480,8 +489,11 @@ def verify_certificate(
     """Re-validate a certificate from the original query data alone.  An
     undecided certificate proves nothing, and malformed evidence is
     rejected, so neither replays."""
-    target = free_reduce(target)
     try:
+        target = free_reduce(target)
+        # a letter past the rank names no generator of the presentation
+        if any(abs(x) > pres.rank for x in target):
+            return False
         if cert.tier == "syntactic" and cert.verdict == MEMBER:
             return _check_expression(pres.relators, target, cert.evidence["expression"])
         if cert.tier == "abelian" and cert.verdict == NON_MEMBER:

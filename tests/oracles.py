@@ -17,6 +17,8 @@ element by element, and jump equivalence by the unmemoised pattern loop
 with a quadratic witness search.  ``action_is_free`` checks the covering
 argument: G acts freely on its Cayley graph from the left.  The membership oracle is kept stateless,
 rebuilding everything it reads from the raw relators on every query.
+``todd_coxeter_reference`` is the coset enumerator before its per-row
+overhead was cut, which must build the same tables.
 ``graph_to_json`` writes the graph JSON that ``graph_from_json`` reads,
 for round trips and CLI input files.
 """
@@ -49,6 +51,7 @@ from covspec.words import (
     NON_MEMBER,
     SYNTACTIC_TERMS,
     UNDECIDED,
+    CosetTable,
     MembershipCertificate,
     Presentation,
     _check_expression,
@@ -411,6 +414,92 @@ def jump_equivalence_by_patterns(G, H1, H2):
                 t = tuple(k for k in range(n) if j >> k & 1)
                 return False, (s, t), 1 << n
     return True, None, 1 << n
+
+
+# ---------------------------------------------------------------------------
+# Todd-Coxeter as it was before its per-row overhead was cut: a full row for
+# every definition, ``find`` on every letter, a merge after every scan, and
+# dead rows kept until the end.
+
+
+def todd_coxeter_reference(relators, rank: int, cap: int) -> CosetTable:
+    """Enumerate cosets of the trivial subgroup in F/<<relators>>.
+
+    HLT strategy: scan every relator at every live coset, defining cosets
+    as needed; coincidences are processed with a union-find stack.  The
+    run aborts (complete=False) once the raw table grows past the cap.
+    Deterministic for fixed inputs.
+    """
+    if cap <= 0:
+        raise ValueError("coset cap must be positive")
+    ncols = 2 * rank
+    table: list[list[int | None]] = [[None] * ncols]
+    labels = [0]
+
+    def find(c: int) -> int:
+        while labels[c] != c:
+            labels[c] = labels[labels[c]]
+            c = labels[c]
+        return c
+
+    def merge(a: int, b: int) -> None:
+        stack = [(a, b)]
+        while stack:
+            x, y = stack.pop()
+            x, y = find(x), find(y)
+            if x == y:
+                continue
+            if x > y:
+                x, y = y, x
+            labels[y] = x
+            for k in range(ncols):
+                u = table[y][k]
+                if u is not None:
+                    v = table[x][k]
+                    if v is None:
+                        table[x][k] = u
+                    else:
+                        stack.append((u, v))
+
+    overflow = False
+    i = 0
+    while i < len(labels) and not overflow:
+        if find(i) == i:
+            for rel in relators:
+                start = find(i)
+                cur = start
+                for x in rel:
+                    col = 2 * (abs(x) - 1) + (0 if x > 0 else 1)
+                    cur = find(cur)
+                    nxt = table[cur][col]
+                    if nxt is None:
+                        table.append([None] * ncols)
+                        labels.append(len(table) - 1)
+                        nxt = len(table) - 1
+                        table[cur][col] = nxt
+                        table[nxt][col ^ 1] = cur
+                    cur = find(nxt)
+                merge(cur, start)
+                if len(table) > cap:
+                    overflow = True
+                    break
+        i += 1
+
+    live = [c for c in range(len(labels)) if find(c) == c]
+    lookup = {c: k for k, c in enumerate(live)}
+    out: list[list[int | None]] = []
+    complete = not overflow
+    for c in live:
+        row: list[int | None] = []
+        for k in range(ncols):
+            e = table[c][k]
+            if e is None:
+                row.append(None)
+                complete = False
+            else:
+                row.append(lookup[find(e)])
+        out.append(row)
+    return CosetTable(out, complete)
 
 
 # ---------------------------------------------------------------------------
