@@ -123,17 +123,12 @@ class MarkedClass:
 class MetricGraph:
     """A connected colored graph with positive rational edge lengths.
 
-    The spanning tree is breadth-first from a root (vertex 0 unless
-    overridden), visiting edges in id order, so the induced free basis of
-    the fundamental group is deterministic.
+    The spanning tree is breadth-first from vertex 0, visiting edges in id
+    order, so the induced free basis of the fundamental group is
+    deterministic.
     """
 
-    def __init__(
-        self,
-        graph: ColoredGraph,
-        lengths: dict[str, Fraction] | Sequence[Fraction],
-        root: int = 0,
-    ):
+    def __init__(self, graph: ColoredGraph, lengths: dict[str, Fraction] | Sequence[Fraction]):
         self.graph = graph
         if graph.vertex_count == 0:
             raise ValueError("graph has no vertices")
@@ -162,10 +157,8 @@ class MetricGraph:
         for d, v in enumerate(self.dart_origin):
             self.out_darts[v].append(d)
 
-        if type(root) is not int or root not in range(n):
-            raise ValueError(f"root {root!r} is not a vertex of the graph")
-        parent: dict[int, int | None] = {root: None}  # the tree dart reaching each vertex
-        frontier = [root]
+        parent: dict[int, int | None] = {0: None}  # the tree dart reaching each vertex
+        frontier = [0]
         while frontier:
             nxt = []
             for v in frontier:
@@ -194,6 +187,13 @@ def check_closed_loop(X: MetricGraph, darts: Sequence[int]) -> None:
             raise ValueError(f"steps {i} and {j} do not chain")
 
 
+def length_units(X: MetricGraph) -> tuple[int, list[int]]:
+    """The lcm ``scale`` of the edge-length denominators and each edge's
+    length in units of 1/scale, so that loop lengths sum as integers."""
+    scale = lcm(*(q.denominator for q in X.edge_lengths))
+    return scale, [q.numerator * (scale // q.denominator) for q in X.edge_lengths]
+
+
 def iter_classes(X: MetricGraph) -> Iterator[MarkedClass]:
     """Every free homotopy class exactly once, by (length, canonical word).
 
@@ -209,8 +209,7 @@ def iter_classes(X: MetricGraph) -> Iterator[MarkedClass]:
     the order and the ties, and only a yielded class gets a Fraction.
     """
     cap = CLASS_CAP
-    scale = lcm(*(q.denominator for q in X.edge_lengths))
-    units = [int(q * scale) for q in X.edge_lengths]
+    scale, units = length_units(X)
     origin, target, out_darts = X.dart_origin, X.dart_target, X.out_darts
     heap = [(units[e], (2 * e,)) for e in range(X.graph.edge_count)]
     heapq.heapify(heap)

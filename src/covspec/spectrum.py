@@ -15,6 +15,7 @@ undecided oracle aborts the run rather than guessing.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, takewhile
@@ -30,6 +31,7 @@ from .metric import (
     enumerate_classes,  # noqa: F401  kept bound here: the benchmark's layer tracer wraps it
     format_rational,
     iter_classes,
+    length_units,
     loop_to_free_word,
     render_loop,
 )
@@ -108,7 +110,6 @@ class QueryRecord:
     length: Fraction
     target_name: str
     target_loop: CyclicWord
-    relator_count: int  # classes added when the query was made
     certificate: MembershipCertificate
 
 
@@ -116,9 +117,9 @@ class QueryRecord:
 class FiltrationReport:
     """Audit trail of one covering spectrum run.
 
-    ``classes`` are the relators in the order they were added, so
-    ``relator_count`` on each query reconstructs the exact oracle context
-    for independent re-verification.  ``generator_certificates`` holds one
+    ``classes`` are the relators in the order they were added, by
+    nondecreasing length; a query's oracle context is exactly the classes
+    strictly shorter than it.  ``generator_certificates`` holds one
     membership certificate per free generator, filled in as the closure
     saturates, and ``mode`` says how they were found.
     """
@@ -147,24 +148,33 @@ class FiltrationReport:
 
     def verify_all_certificates(self, X: MetricGraph) -> bool:
         """Replay every certificate with the checker's own presentation,
-        rewriting every relator and target loop in X afresh.  Each free
-        generator needs a member certificate: only then is the closure
-        everything, with no jump past the last level."""
+        rewriting and measuring every relator and target loop in X afresh.
+        Class lengths never fall, and a query replays against exactly the
+        classes strictly shorter than it.  Each free generator needs a member
+        certificate: only then is the closure everything, with no jump past
+        the last level."""
         # looked up per call, so the benchmark's layer tracer can wrap it
         from .words import verify_certificate
 
         if any(c is None or c.verdict != MEMBER for c in self.generator_certificates):
             return False
+        # lengths in integer units of 1/scale, measured on the loops in X
+        scale, units = length_units(X)
+        loops = [c.word for c in self.classes] + [q.target_loop for q in self.queries]
+        recorded = [c.length for c in self.classes] + [q.length for q in self.queries]
+        measured = [sum(units[d // 2] for d in loop.darts) for loop in loops]
+        lengths = measured[:len(self.classes)]
+        if lengths != sorted(lengths) or any(
+                m.numerator * scale != n * m.denominator for m, n in zip(recorded, measured)):
+            return False
         try:
             relators = [loop_to_free_word(X, c.word) for c in self.classes]
-            checks = [(q.relator_count, loop_to_free_word(X, q.target_loop), q.certificate)
-                      for q in self.queries]
+            checks = [(bisect_left(lengths, n), loop_to_free_word(X, q.target_loop), q.certificate)
+                      for q, n in zip(self.queries, measured[len(lengths):])]
         except ValueError:  # a loop that does not close in X
             return False
         checks += [(len(relators), (g + 1,), c) for g, c in enumerate(self.generator_certificates)]
-        if not all(type(k) is int and 0 <= k <= len(relators) for k, _, _ in checks):
-            return False
-        # a run's counts never fall, so a stable sort keeps its own order
+        # a run's queries never fall in length, so a stable sort keeps its own order
         pres, grown = Presentation(X.rank), 0
         for k, word, cert in sorted(checks, key=lambda check: check[0]):
             for rel in relators[grown:k]:
@@ -184,10 +194,9 @@ class _NormalClosureOracle:
         self.presentation = Presentation(X.rank)
 
     def contains(self, cls: MarkedClass) -> bool:
-        classes = self.report.classes
         cert = decide_membership(self.presentation, loop_to_free_word(self.X, cls.word))
         name = render_loop(self.X, cls.word)
-        self.report.queries.append(QueryRecord(cls.length, name, cls.word, len(classes), cert))
+        self.report.queries.append(QueryRecord(cls.length, name, cls.word, cert))
         if cert.verdict == UNDECIDED:
             raise UndecidedOracleError(cls.length, name, cert)
         return cert.verdict == MEMBER
@@ -283,21 +292,12 @@ class LatticeSpectrum:
     values_squared: tuple[Fraction, ...]
 
     def exact_values(self) -> list[Fraction | None]:
-        out = []
-        for q in self.values_squared:
-            n, d = q.numerator, q.denominator
-            rn, rd = isqrt(n), isqrt(d)
-            out.append(Fraction(rn, rd) if rn * rn == n and rd * rd == d else None)
-        return out
+        roots = [(q, isqrt(q.numerator), isqrt(q.denominator)) for q in self.values_squared]
+        return [Fraction(n, d) if Fraction(n * n, d * d) == q else None for q, n, d in roots]
 
     def display(self) -> list[str]:
-        out = []
-        for q, exact in zip(self.values_squared, self.exact_values()):
-            if exact is not None:
-                out.append(format_rational(exact))
-            else:
-                out.append(f"sqrt({format_rational(q)})")
-        return out
+        return [f"sqrt({format_rational(q)})" if exact is None else format_rational(exact)
+                for q, exact in zip(self.values_squared, self.exact_values())]
 
 
 def covering_spectrum_lattice(basis: Sequence[Sequence[Fraction | int]]) -> LatticeSpectrum:

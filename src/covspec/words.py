@@ -120,6 +120,9 @@ class Presentation:
         rel = free_reduce(relator)
         if not rel:
             return
+        bad = [x for x in rel if abs(x) > self.rank]
+        if bad:
+            raise ValueError(f"letter {bad[0]} names no generator of F_{self.rank}")
         j = len(self.relators)
         self.relators.append(rel)
         if self.lattice is not None:
@@ -353,6 +356,10 @@ def todd_coxeter(relators: Sequence[FreeWord], rank: int, cap: int) -> CosetTabl
     # letter x reads column 2*(|x|-1), plus 1 for an inverse; an empty
     # relator scans nothing
     codes = [[2 * (abs(x) - 1) + (x < 0) for x in rel] for rel in relators]
+    for rel, cols in zip(relators, codes):
+        for x, col in zip(rel, cols):
+            if not 0 <= col < ncols:
+                raise ValueError(f"letter {x} names no generator of F_{rank}")
     scans = [(cols[:-1], cols[-1]) for cols in codes if cols]
     # a dead coset's row is None: nothing reads it after its merge
     table: list[list[int | None] | None] = [[None] * ncols]

@@ -41,12 +41,12 @@ def fano_graphs(fano):
 def fano_run(fano_graphs):
     """Factory: covering spectrum runs on both Fano length spaces, cached."""
 
-    def run(la: Fraction, lb: Fraction, root: int = 0):
-        key = (la, lb, root)
+    def run(la: Fraction, lb: Fraction):
+        key = (la, lb)
         if key not in _RUN_CACHE:
             g1, g2 = fano_graphs
-            X1 = MetricGraph(g1, {"A": la, "B": lb}, root=root)
-            X2 = MetricGraph(g2, {"A": la, "B": lb}, root=root)
+            X1 = MetricGraph(g1, {"A": la, "B": lb})
+            X2 = MetricGraph(g2, {"A": la, "B": lb})
             s1, r1 = covering_spectrum(X1)
             s2, r2 = covering_spectrum(X2)
             _RUN_CACHE[key] = (X1, s1, r1, X2, s2, r2)

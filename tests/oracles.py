@@ -20,7 +20,8 @@ rebuilding everything it reads from the raw relators on every query.
 ``todd_coxeter_reference`` is the coset enumerator before its per-row
 overhead was cut, which must build the same tables.
 ``graph_to_json`` writes the graph JSON that ``graph_from_json`` reads,
-for round trips and CLI input files.
+for round trips and CLI input files, and ``swap_vertices`` moves the
+vertex a spanning tree grows from.
 """
 
 from __future__ import annotations
@@ -625,17 +626,18 @@ class StatelessOracle(_NormalClosureOracle):
         if self.deadline is not None and perf_counter() > self.deadline:
             raise TimeoutError("the stateless oracle ran past its deadline")
 
-    def _relators(self):
-        return [loop_to_free_word(self.X, c.word) for c in self.report.classes]
+    def _relators(self, classes):
+        return [loop_to_free_word(self.X, c.word) for c in classes]
 
     def contains(self, cls):
         self._on_time()
-        loops = [c.word for c in self.report.classes]
+        # the query's context: every class strictly shorter than it
+        shorter = [c for c in self.report.classes if c.length < cls.length]
         word = loop_to_free_word(self.X, cls.word)
-        cert = decide_membership_stateless(self._relators(), word, self.X.rank,
-                                           loops=loops, target_loop=cls.word)
+        cert = decide_membership_stateless(self._relators(shorter), word, self.X.rank,
+                                           loops=[c.word for c in shorter], target_loop=cls.word)
         name = render_loop(self.X, cls.word)
-        self.report.queries.append(QueryRecord(cls.length, name, cls.word, len(loops), cert))
+        self.report.queries.append(QueryRecord(cls.length, name, cls.word, cert))
         if cert.verdict == UNDECIDED:
             raise UndecidedOracleError(cls.length, name, cert)
         return cert.verdict == MEMBER
@@ -643,7 +645,7 @@ class StatelessOracle(_NormalClosureOracle):
     def saturated(self):
         rank = self.X.rank
         certs = self.report.generator_certificates
-        relators = self._relators()
+        relators = self._relators(self.report.classes)
         for g in range(rank):
             if certs[g] is None:
                 self._on_time()
@@ -662,16 +664,24 @@ class StatelessOracle(_NormalClosureOracle):
 
 def replay_stateless(report, X) -> bool:
     """Replay every certificate of a report from fresh presentations of
-    relator-list slices."""
-    loops = [c.word for c in report.classes]
-    relators = [loop_to_free_word(X, loop) for loop in loops]
+    relator-list slices, each query's the classes strictly shorter than it."""
+    relators = [loop_to_free_word(X, c.word) for c in report.classes]
     for q in report.queries:
-        k = q.relator_count
+        k = sum(c.length < q.length for c in report.classes)
         if not verify_certificate(q.certificate, Presentation(X.rank, relators[:k]),
                                   loop_to_free_word(X, q.target_loop)):
             return False
     return all(verify_certificate(cert, Presentation(X.rank, relators), (g + 1,))
                for g, cert in enumerate(report.generator_certificates))
+
+
+def swap_vertices(graph: ColoredGraph, u: int, v: int) -> ColoredGraph:
+    """The same graph with vertices u and v trading places in the vertex
+    list, labels and edge ids kept."""
+    pi = list(range(graph.vertex_count))
+    pi[u], pi[v] = v, u
+    edges = [Edge(e.id, pi[e.origin], pi[e.target], e.color) for e in graph.edges]
+    return ColoredGraph([graph.vertices[k] for k in pi], edges, graph.colors)
 
 
 def graph_to_json(graph: ColoredGraph, lengths: dict[str, object] | None = None) -> str:

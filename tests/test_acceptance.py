@@ -39,7 +39,7 @@ from fano_tables import (
     X2_MINIMAL_LOOPS,
     expected_length_multiset,
 )
-from oracles import lattice_jump_scan
+from oracles import lattice_jump_scan, swap_vertices
 
 LA, LB = Fraction(2), Fraction(5, 2)
 
@@ -210,8 +210,9 @@ def test_criterion_7c_length_spectrum_containment(fano_run, wedge23):
 def test_criterion_7d_spanning_tree_independence(fano_graphs):
     g1, _ = fano_graphs
     cutoff = LA + 2 * LB
-    a = MetricGraph(g1, {"A": LA, "B": LB}, root=0)
-    b = MetricGraph(g1, {"A": LA, "B": LB}, root=3)
+    # relabelled so that the tree grows from vertex 3; edge ids stay
+    a = MetricGraph(g1, {"A": LA, "B": LB})
+    b = MetricGraph(swap_vertices(g1, 0, 3), {"A": LA, "B": LB})
     ok = a.spanning_tree != b.spanning_tree and sorted(
         c.length for c in enumerate_classes(a, cutoff)
     ) == sorted(c.length for c in enumerate_classes(b, cutoff))

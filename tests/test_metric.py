@@ -30,7 +30,13 @@ from covspec.metric import dart_edge, dart_reverse
 from covspec.words import least_rotation
 
 from fano_tables import X1_MINIMAL_LOOPS, X2_MINIMAL_LOOPS, expected_length_multiset
-from oracles import classes_by_walks, generator_loop, regular_cayley_by_products, tree_path_to_root
+from oracles import (
+    classes_by_walks,
+    generator_loop,
+    regular_cayley_by_products,
+    swap_vertices,
+    tree_path_to_root,
+)
 from test_spectrum import schreier_metric_graphs
 
 LA, LB = Fraction(2), Fraction(5, 2)
@@ -96,13 +102,6 @@ class TestMetricGraph:
         g = ColoredGraph(["u", "v"], [Edge(0, 0, 0, "A"), Edge(1, 1, 1, "A")], ["A"])
         with pytest.raises(ValueError):
             MetricGraph(g, {"A": Fraction(1)})
-
-    @pytest.mark.parametrize("root", [3, -1, 0.5, 1.0])
-    def test_root_outside_the_vertices_rejected(self, root):
-        # 1.0 equals the vertex 1 but is not an int, so it cannot index one
-        g = ColoredGraph(["u", "v"], [Edge(0, 0, 0, "A"), Edge(1, 0, 1, "A")], ["A"])
-        with pytest.raises(ValueError, match="root"):
-            MetricGraph(g, {"A": Fraction(1)}, root=root)
 
     def test_nonpositive_length_rejected(self, fano_graphs):
         with pytest.raises(ValueError):
@@ -239,8 +238,9 @@ class TestEnumeration:
 
     def test_spanning_tree_independence(self, fano_graphs):
         g1, _ = fano_graphs
-        a = MetricGraph(g1, {"A": LA, "B": LB}, root=0)
-        b = MetricGraph(g1, {"A": LA, "B": LB}, root=3)
+        # relabelled so that the tree grows from vertex 3; edge ids stay
+        a = MetricGraph(g1, {"A": LA, "B": LB})
+        b = MetricGraph(swap_vertices(g1, 0, 3), {"A": LA, "B": LB})
         assert a.spanning_tree != b.spanning_tree
         la = sorted(c.length for c in enumerate_classes(a, CUTOFF))
         lb = sorted(c.length for c in enumerate_classes(b, CUTOFF))

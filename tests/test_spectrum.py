@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 from itertools import takewhile
@@ -215,28 +216,35 @@ class TestGraphSpectra:
             assert level[-1] is j
 
     def test_replay_rejects_an_inconsistent_report(self, theta_graph, fano_run):
-        # the checker rewrites every loop itself, so a loop that does not
-        # close in the graph, or a query that names relators the report
-        # lacks, fails replay; so does a count that would slice the
-        # relators from the end, or is no integer
+        # the checker rewrites and measures every loop itself, so a loop
+        # that does not close in the graph, or a class or query whose
+        # length is not its loop's, fails replay
         for tamper in (
             lambda r: r.classes.__setitem__(0, MarkedClass(Fraction(1), CyclicWord([0]))),
-            lambda r: setattr(r.queries[-1], "relator_count", len(r.classes) + 1),
-            lambda r: setattr(r.queries[0], "relator_count", -2),
-            lambda r: setattr(r.queries[-1], "relator_count", -1),
-            lambda r: setattr(r.queries[-1], "relator_count", 1.5),
+            lambda r: r.classes.__setitem__(-1, MarkedClass(Fraction(4), r.classes[-1].word)),
+            lambda r: setattr(r.queries[0], "length", Fraction(5, 2)),
         ):
             _, report = covering_spectrum(theta_graph)
             assert report.verify_all_certificates(theta_graph)
+            assert [c.length for c in report.classes] == [Fraction(3), Fraction(7, 2)]
             tamper(report)
             assert not report.verify_all_certificates(theta_graph)
-        # on X1, -2 would replay the query made with 12 relators against
-        # 13 of the 15
-        X1 = fano_run(LA, LB)[0]
-        _, report = covering_spectrum(X1)
-        assert report.queries[9].relator_count == 12 and len(report.classes) == 15
-        report.queries[9].relator_count = -2
-        assert not report.verify_all_certificates(X1)
+        # each query's context is the classes strictly shorter than it, so
+        # the lengths must be the graph's and the classes in length order.
+        # On X1 two forgeries keep every certificate replaying and fail
+        # only these checks: classes 6 and 7 (lengths 5 and 6) swapped, and
+        # the jump query at 5/2 relabelled 2, whose abelian certificate
+        # holds against no relators too
+        X1, _, r1, _, _, _ = fano_run(LA, LB)
+        assert [r1.classes[k].length for k in (6, 7)] == [Fraction(5), Fraction(6)]
+        assert r1.queries[1].length == LB and r1.queries[1] in r1.jumps
+        for tamper in (
+            lambda r: r.classes.__setitem__(slice(6, 8), r.classes[7:5:-1]),
+            lambda r: setattr(r.queries[1], "length", Fraction(2)),
+        ):
+            report = copy.deepcopy(r1)
+            tamper(report)
+            assert not report.verify_all_certificates(X1)
 
     def test_replay_rejects_undecided_and_missing_certificates(self, wedge23):
         # the driver raises before it returns such a report; an undecided
@@ -402,8 +410,7 @@ def full_report(X):
         spectrum, report = covering_spectrum(X)
     except UndecidedOracleError as err:
         return "undecided", err.length, err.target_name, err.certificate
-    queries = [(q.length, q.target_name, q.target_loop, q.relator_count, q.certificate)
-               for q in report.queries]
+    queries = [(q.length, q.target_name, q.target_loop, q.certificate) for q in report.queries]
     replays = report.verify_all_certificates(X), replay_stateless(report, X)
     return spectrum, queries, report.termination, report.processed_to, replays
 
@@ -460,8 +467,8 @@ class TestSharedPresentation:
         X = MetricGraph(graph, {"A": Fraction(2), "B": Fraction(5, 2)})
         _, report = covering_spectrum(X)
         assert report.termination["mode"] == "quotient_enumerated"
-        keys = {(q.relator_count, q.certificate.evidence["cap"]) for q in report.queries
-                if q.certificate.tier == "coset_enumeration"}
+        keys = {(sum(c.length < q.length for c in report.classes), q.certificate.evidence["cap"])
+                for q in report.queries if q.certificate.tier == "coset_enumeration"}
         keys.add((len(report.classes), 3000))
         calls = []
         inner = words_mod.todd_coxeter
@@ -487,11 +494,11 @@ def spectrum_values(X):
     return list(covering_spectrum(X)[0].values)
 
 
-def metric_graph(n, edges, root=0):
+def metric_graph(n, edges):
     """A metric graph on n vertices from (origin, target, length) triples."""
     graph = ColoredGraph([str(v) for v in range(n)],
                          [Edge(i, o, t, "A") for i, (o, t, _) in enumerate(edges)], ["A"])
-    return MetricGraph(graph, [q for _, _, q in edges], root=root)
+    return MetricGraph(graph, [q for _, _, q in edges])
 
 
 def edge_triples(X):
@@ -554,8 +561,9 @@ class TestClosedForms:
 
 class TestMetricInvariance:
     """The covering spectrum is a property of the length space: no
-    relabelling, edge numbering, choice of root or subdivision of an edge
-    moves it, and scaling every length by t scales it by t."""
+    relabelling (which moves the spanning tree's root too), edge numbering
+    or subdivision of an edge moves it, and scaling every length by t
+    scales it by t."""
 
     @given(short_schreier_graphs(max_degree=6), st.data())
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -564,7 +572,6 @@ class TestMetricInvariance:
         n, edges = X.graph.vertex_count, edge_triples(X)
         pi = data.draw(st.permutations(range(n)), label="vertex relabelling")
         sigma = data.draw(st.permutations(range(len(edges))), label="edge ids")
-        root = data.draw(st.integers(0, n - 1), label="root")
         e = data.draw(st.integers(0, len(edges) - 1), label="subdivided edge")
         cut = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)]))
         t = data.draw(st.sampled_from([Fraction(1, 3), Fraction(5, 2), Fraction(7)]))
@@ -573,7 +580,6 @@ class TestMetricInvariance:
         variants = [
             (metric_graph(n, [(pi[o], pi[w], q) for o, w, q in edges]), base),
             (metric_graph(n, [edges[i] for i in sigma]), base),
-            (metric_graph(n, edges, root=root), base),
             (metric_graph(n + 1, subdivided), base),
             (metric_graph(n, [(o, w, q * t) for o, w, q in edges]), [v * t for v in base]),
         ]
@@ -655,7 +661,7 @@ class TestContractionIsAbelian:
     @staticmethod
     def check(report):
         for q in report.queries:
-            loops = [c.word for c in report.classes[:q.relator_count]]
+            loops = [c.word for c in report.classes if c.length < q.length]
             if contraction_nonmember(loops, q.target_loop) is not None:
                 assert (q.certificate.verdict, q.certificate.tier) == ("non_member", "abelian")
 

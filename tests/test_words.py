@@ -256,11 +256,19 @@ class TestToddCoxeter:
         graph = cayley_graph([("A", Permutation(a)), ("B", Permutation(b))])
         X = MetricGraph(graph, {"A": LA, "B": LB})
         _, report = covering_spectrum(X)
-        got = [(q.relator_count, q.certificate.evidence["table_size"],
+        got = [(sum(c.length < q.length for c in report.classes),
+                q.certificate.evidence["table_size"],
                 q.certificate.evidence["target_coset"], q.certificate.evidence["complete"])
                for q in report.queries if q.certificate.tier == "coset_enumeration"]
         assert got == evidence
         assert report.verify_all_certificates(X)
+
+    @pytest.mark.parametrize("relator, rank", [((0,), 1), ((3,), 2), ((-3,), 2)])
+    def test_a_letter_outside_the_rank_is_rejected(self, relator, rank):
+        # unchecked, the letter 0 reads column -2, generator 1's forward
+        # column, and gives the one-coset table of [(1,)]
+        with pytest.raises(ValueError, match=f"letter {relator[0]} "):
+            todd_coxeter([relator], rank, 10)
 
     def test_dead_rows_are_freed(self):
         # on Python 3.11 the peak read 38.8 MB with every dead row kept and
@@ -522,6 +530,10 @@ class TestPresentation:
         assert cert is not None
         assert cert == syntactic_member_stateless(relators, target)
 
+    def test_a_relator_letter_past_the_rank_is_rejected(self):
+        with pytest.raises(ValueError, match="letter 3 "):
+            Presentation(2, [(3,)])
+
     def test_one_coset_table_per_relator_count_and_cap(self, monkeypatch):
         calls = []
 
@@ -567,6 +579,11 @@ X = MetricGraph(graph, {"A": Fraction(2), "B": Fraction(3)})
 _, report = covering_spectrum(X)
 if not report.verify_all_certificates(X):
     sys.exit("certificate replay failed")
+# B's jump query at 3 relabelled 2: its abelian certificate holds against
+# the empty context too, so only the length check rejects it
+report.queries[-1].length = Fraction(2)
+if report.verify_all_certificates(X):
+    sys.exit("a query whose length is not its loop's replayed")
 """
 
 
