@@ -50,6 +50,7 @@ from .metric import (
     enumerate_classes,
     format_rational,
     parse_rational,
+    render_loop,
 )
 from .spectrum import (
     BudgetExhaustedError,
@@ -91,21 +92,21 @@ def _load_metric_graph(path: str) -> MetricGraph:
     return MetricGraph(graph, {c: parse_rational(q) for c, q in lengths.items()})
 
 
-def _spectrum_payload(spectrum, report, explain: bool) -> dict:
+def _spectrum_payload(X: MetricGraph, spectrum, report, explain: bool) -> dict:
     doc = {
         "covspec": spectrum.as_strings(),
-        "jumps": [format_rational(q.length) for q in report.jumps],
-        "witnesses": [q.target_name for q in report.jumps],
+        "jumps": [format_rational(c.length) for c, _ in report.jumps],
+        "witnesses": [render_loop(X, c.word) for c, _ in report.jumps],
         "length_spectrum_containment": length_spectrum_containment(report, spectrum),
     }
     if explain:
         doc["certificates"] = [
             {
-                "length": format_rational(q.length),
-                "target": q.target_name,
-                "certificate": q.certificate.to_json_dict(),
+                "length": format_rational(c.length),
+                "target": render_loop(X, c.word),
+                "certificate": cert.to_json_dict(),
             }
-            for q in report.queries
+            for c, cert in report.queries
         ]
         doc["termination"] = report.termination
     return doc
@@ -115,7 +116,7 @@ def cmd_covspec(args) -> int:
     X = _load_metric_graph(args.input)
     budget = parse_rational(args.budget) if args.budget else _env_budget()
     spectrum, report = covering_spectrum(X, budget=budget)
-    _emit(_spectrum_payload(spectrum, report, args.explain))
+    _emit(_spectrum_payload(X, spectrum, report, args.explain))
     return EXIT_OK
 
 
@@ -156,8 +157,8 @@ def run_fano(la: Fraction, lb: Fraction, explain: bool = False) -> dict:
         "la": format_rational(la),
         "lb": format_rational(lb),
         "constraint_ok": constraint_ok,
-        "x1": _spectrum_payload(s1, r1, explain),
-        "x2": _spectrum_payload(s2, r2, explain),
+        "x1": _spectrum_payload(X1, s1, r1, explain),
+        "x2": _spectrum_payload(X2, s2, r2, explain),
     }
     dv = la + lb / 2
     doc["distinguishing_value"] = format_rational(dv)

@@ -25,7 +25,6 @@ from typing import Sequence
 from .groups import CapExceededError
 from .lattices import IntLattice
 from .metric import (
-    CyclicWord,
     MarkedClass,
     MetricGraph,
     enumerate_classes,  # noqa: F401  kept bound here: the benchmark's layer tracer wraps it
@@ -56,7 +55,6 @@ class UndecidedOracleError(RuntimeError):
             f"membership oracle undecided for class {target_name!r} at length {length}"
         )
         self.length = length
-        self.target_name = target_name
         self.certificate = certificate
 
 
@@ -73,8 +71,8 @@ def jump_set(items, oracle):
     The keys of one level are tested in order against the strictly
     smaller levels until the first falls outside, then all are added.
     The walk stops after the first level at which the oracle is
-    saturated, so ``items`` may be an endless stream.  Returns
-    (jumps, last_level).
+    saturated, so ``items`` may be an endless stream.  Returns the jump
+    levels in order.
     """
     jumps = []
     last = None
@@ -89,7 +87,7 @@ def jump_set(items, oracle):
         last = m
         if oracle.saturated():
             break
-    return jumps, last
+    return jumps
 
 
 @dataclass(frozen=True)
@@ -106,77 +104,80 @@ class CoveringSpectrum:
 
 
 @dataclass
-class QueryRecord:
-    length: Fraction
-    target_name: str
-    target_loop: CyclicWord
-    certificate: MembershipCertificate
-
-
-@dataclass
 class FiltrationReport:
-    """Audit trail of one covering spectrum run.
+    """Audit trail of one covering spectrum run: one entry per walked class.
 
     ``classes`` are the relators in the order they were added, by
-    nondecreasing length; a query's oracle context is exactly the classes
-    strictly shorter than it.  ``generator_certificates`` holds one
-    membership certificate per free generator, filled in as the closure
-    saturates, and ``mode`` says how they were found.
+    nondecreasing length.  ``certificates[i]`` is the verdict of the query
+    on ``classes[i]`` against exactly the classes strictly shorter than it,
+    or None where its level's querying had stopped: a level is queried in
+    order up to its first non-member, which makes the level a jump.
+    ``generator_certificates`` holds one membership certificate per free
+    generator, filled in as the closure saturates.
     """
 
     classes: list[MarkedClass] = field(default_factory=list)
-    queries: list[QueryRecord] = field(default_factory=list)
+    certificates: list[MembershipCertificate | None] = field(default_factory=list)
     generator_certificates: list[MembershipCertificate | None] = field(default_factory=list)
-    mode: str = "generators_certified"
-    processed_to: Fraction | None = None
 
     @property
-    def jumps(self) -> list[QueryRecord]:
+    def queries(self) -> list[tuple[MarkedClass, MembershipCertificate]]:
+        return [(c, cert) for c, cert in zip(self.classes, self.certificates) if cert is not None]
+
+    @property
+    def jumps(self) -> list[tuple[MarkedClass, MembershipCertificate]]:
         """The non-member queries: a level's querying stops at its first
         non-member, so these are exactly the jump witnesses, in order."""
-        return [q for q in self.queries if q.certificate.verdict == NON_MEMBER]
+        return [(c, cert) for c, cert in self.queries if cert.verdict == NON_MEMBER]
 
     @property
     def termination(self) -> dict:
-        if not self.generator_certificates:
+        certs = self.generator_certificates
+        if not certs:
             return {"mode": "simply_connected"}
-        return {"mode": self.mode,
-                "certificates": [c.to_json_dict() for c in self.generator_certificates]}
+        enumerated = all(c.tier == "coset_enumeration" for c in certs)
+        return {"mode": "quotient_enumerated" if enumerated else "generators_certified",
+                "certificates": [c.to_json_dict() for c in certs]}
 
     def realized_lengths(self) -> list[Fraction]:
         return sorted({c.length for c in self.classes})
 
     def verify_all_certificates(self, X: MetricGraph) -> bool:
         """Replay every certificate with the checker's own presentation,
-        rewriting and measuring every relator and target loop in X afresh.
-        Class lengths never fall, and a query replays against exactly the
-        classes strictly shorter than it.  Each free generator needs a member
-        certificate: only then is the closure everything, with no jump past
-        the last level."""
+        rewriting and measuring every class loop in X afresh.  Class lengths
+        never fall; a level's first class and each one after a member are
+        queried, and no other, each against exactly the classes strictly
+        shorter than it.  Each free generator needs a member certificate:
+        only then is the closure everything, with no jump past the last level."""
         # looked up per call, so the benchmark's layer tracer can wrap it
         from .words import verify_certificate
 
-        if any(c is None or c.verdict != MEMBER for c in self.generator_certificates):
+        if len(self.certificates) != len(self.classes) or any(
+                c is None or c.verdict != MEMBER for c in self.generator_certificates):
             return False
         # lengths in integer units of 1/scale, measured on the loops in X
         scale, units = length_units(X)
-        loops = [c.word for c in self.classes] + [q.target_loop for q in self.queries]
-        recorded = [c.length for c in self.classes] + [q.length for q in self.queries]
-        measured = [sum(units[d // 2] for d in loop.darts) for loop in loops]
-        lengths = measured[:len(self.classes)]
-        if lengths != sorted(lengths) or any(
-                m.numerator * scale != n * m.denominator for m, n in zip(recorded, measured)):
+        if any(not 0 <= d < 2 * len(units) for c in self.classes for d in c.word.darts):
+            return False
+        lengths = [sum(units[d // 2] for d in c.word.darts) for c in self.classes]
+        if lengths != sorted(lengths) or any(c.length.numerator * scale != n * c.length.denominator
+                                             for c, n in zip(self.classes, lengths)):
+            return False
+        # each class's context ends where its level starts
+        starts = [bisect_left(lengths, n) for n in lengths]
+        verdicts = [c and c.verdict for c in self.certificates]
+        if any((v is not None) != (i == k or verdicts[i - 1] == MEMBER)
+               for i, (k, v) in enumerate(zip(starts, verdicts))):
             return False
         try:
             relators = [loop_to_free_word(X, c.word) for c in self.classes]
-            checks = [(bisect_left(lengths, n), loop_to_free_word(X, q.target_loop), q.certificate)
-                      for q, n in zip(self.queries, measured[len(lengths):])]
         except ValueError:  # a loop that does not close in X
             return False
+        checks = [(k, word, c) for k, word, c in zip(starts, relators, self.certificates)
+                  if c is not None]
         checks += [(len(relators), (g + 1,), c) for g, c in enumerate(self.generator_certificates)]
-        # a run's queries never fall in length, so a stable sort keeps its own order
         pres, grown = Presentation(X.rank), 0
-        for k, word, cert in sorted(checks, key=lambda check: check[0]):
+        for k, word, cert in checks:
             for rel in relators[grown:k]:
                 pres.add(rel)
             grown = k
@@ -195,15 +196,17 @@ class _NormalClosureOracle:
 
     def contains(self, cls: MarkedClass) -> bool:
         cert = decide_membership(self.presentation, loop_to_free_word(self.X, cls.word))
-        name = render_loop(self.X, cls.word)
-        self.report.queries.append(QueryRecord(cls.length, name, cls.word, cert))
+        self.report.certificates.append(cert)
         if cert.verdict == UNDECIDED:
-            raise UndecidedOracleError(cls.length, name, cert)
+            raise UndecidedOracleError(cls.length, render_loop(self.X, cls.word), cert)
         return cert.verdict == MEMBER
 
     def add(self, cls: MarkedClass) -> None:
         self.presentation.add(loop_to_free_word(self.X, cls.word))
         self.report.classes.append(cls)
+        # jump_set queries a prefix of each level before adding any of it
+        if len(self.report.certificates) < len(self.report.classes):
+            self.report.certificates.append(None)
 
     def saturated(self) -> bool:
         """All free generators certified inside the current closure?"""
@@ -225,7 +228,6 @@ class _NormalClosureOracle:
         table = todd_coxeter(self.presentation.relators, rank, cap=cap)
         if table.complete and all(table.trace((g + 1,)) == 0 for g in range(rank)):
             certs[:] = [coset_certificate(table, cap, 0) for _ in range(rank)]
-            self.report.mode = "quotient_enumerated"
             return True
         return False
 
@@ -251,16 +253,11 @@ def covering_spectrum(
     if budget is not None and Fraction(budget) <= 0:
         raise ValueError("budget must be positive")
     report = FiltrationReport(generator_certificates=[None] * X.rank)
-    if X.rank == 0:
-        report.processed_to = Fraction(0)
-        return CoveringSpectrum(()), report
-
     classes = iter_classes(X)
     if budget is not None:
         budget = Fraction(budget)
         classes = takewhile(lambda c: c.length <= budget, classes)
-    jumps, report.processed_to = jump_set(((c.length, c) for c in classes),
-                                          _NormalClosureOracle(X, report))
+    jumps = jump_set(((c.length, c) for c in classes), _NormalClosureOracle(X, report))
     # jump_set asked saturated() at the last level walked, and a False
     # there left some generator uncertified; only a ceiling can cut the
     # stream before that
@@ -317,7 +314,7 @@ def covering_spectrum_lattice(basis: Sequence[Sequence[Fraction | int]]) -> Latt
         raise ValueError("basis must be square")
     scale = lcm(*(x.denominator for row in rows for x in row))
     M = [[int(x * scale) for x in row] for row in rows]
-    jumps_scaled, _ = jump_set(_lattice_vectors(M), IntLattice(n))
+    jumps_scaled = jump_set(_lattice_vectors(M), IntLattice(n))
     s2 = Fraction(scale) ** 2
     jumps_squared = tuple(q / s2 for q in jumps_scaled)
     return LatticeSpectrum(jumps_squared, tuple(q / 4 for q in jumps_squared))

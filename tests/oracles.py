@@ -45,7 +45,7 @@ from covspec.metric import (
     reduce_dart_path,
     render_loop,
 )
-from covspec.spectrum import QueryRecord, UndecidedOracleError, _NormalClosureOracle
+from covspec.spectrum import UndecidedOracleError, _NormalClosureOracle
 from covspec.words import (
     CONJUGATOR_LENGTH,
     MEMBER,
@@ -636,10 +636,9 @@ class StatelessOracle(_NormalClosureOracle):
         word = loop_to_free_word(self.X, cls.word)
         cert = decide_membership_stateless(self._relators(shorter), word, self.X.rank,
                                            loops=[c.word for c in shorter], target_loop=cls.word)
-        name = render_loop(self.X, cls.word)
-        self.report.queries.append(QueryRecord(cls.length, name, cls.word, cert))
+        self.report.certificates.append(cert)
         if cert.verdict == UNDECIDED:
-            raise UndecidedOracleError(cls.length, name, cert)
+            raise UndecidedOracleError(cls.length, render_loop(self.X, cls.word), cert)
         return cert.verdict == MEMBER
 
     def saturated(self):
@@ -657,7 +656,6 @@ class StatelessOracle(_NormalClosureOracle):
             certs[:] = [MembershipCertificate(MEMBER, "coset_enumeration", {
                 "complete": True, "cap": 3000, "table_size": table.size, "target_coset": 0,
             }) for _ in range(rank)]
-            self.report.mode = "quotient_enumerated"
             return True
         return False
 
@@ -666,10 +664,10 @@ def replay_stateless(report, X) -> bool:
     """Replay every certificate of a report from fresh presentations of
     relator-list slices, each query's the classes strictly shorter than it."""
     relators = [loop_to_free_word(X, c.word) for c in report.classes]
-    for q in report.queries:
-        k = sum(c.length < q.length for c in report.classes)
-        if not verify_certificate(q.certificate, Presentation(X.rank, relators[:k]),
-                                  loop_to_free_word(X, q.target_loop)):
+    for cls, cert in report.queries:
+        k = sum(c.length < cls.length for c in report.classes)
+        if not verify_certificate(cert, Presentation(X.rank, relators[:k]),
+                                  loop_to_free_word(X, cls.word)):
             return False
     return all(verify_certificate(cert, Presentation(X.rank, relators), (g + 1,))
                for g, cert in enumerate(report.generator_certificates))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from covspec import ColoredGraph, Edge, cli, groups
+from covspec import ColoredGraph, Edge, cayley_graph, cli, groups
 from covspec.cli import main
 
 from oracles import graph_to_json
@@ -42,6 +42,16 @@ def theta_json(tmp_path, name="theta.json"):
     )
     path = tmp_path / name
     path.write_text(graph_to_json(graph, {"A": "1/1", "B": "2/1", "C": "5/2"}))
+    return path
+
+
+def seven_json(tmp_path, name="seven.json"):
+    """A 7-vertex Schreier graph whose closure saturates by a complete coset
+    enumeration, so its termination mode is quotient_enumerated."""
+    graph = cayley_graph([("A", groups.Permutation([3, 4, 5, 2, 0, 6, 1])),
+                          ("B", groups.Permutation([3, 2, 1, 5, 0, 4, 6]))])
+    path = tmp_path / name
+    path.write_text(graph_to_json(graph, {"A": "2/1", "B": "5/2"}))
     return path
 
 
@@ -429,6 +439,8 @@ GOLDEN_STDOUT = [
      "588f0ba61cfab6dbcfbdd475c837d270c6eaa11b5051c1559469c0ffc1df7999"),
     (["covspec", "--input", "theta.json", "--explain"],
      "1bed423b80e7091b18dd19617337645a1a87fd669af47aa7f6f7be812bd15058"),
+    (["covspec", "--input", "seven.json", "--explain"],
+     "51cde513fb695f496a98c9949448d10131f07dde27b1b6e0bef3c91777eda950"),
 ]
 
 
@@ -436,6 +448,7 @@ GOLDEN_STDOUT = [
 def test_stdout_bytes_match_the_recorded_digest(tmp_path, capsys, monkeypatch, argv, digest):
     wedge_json(tmp_path)
     theta_json(tmp_path)
+    seven_json(tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("COVSPEC_BUDGET", raising=False)
     code, out, err = run_cli(capsys, *argv)

@@ -24,6 +24,7 @@ from covspec import (
     enumerate_classes,
     jump_set,
     length_spectrum_containment,
+    loop_to_free_word,
 )
 from covspec import spectrum as spectrum_mod
 from covspec import words as words_mod
@@ -34,7 +35,12 @@ from covspec.spectrum import (
     _lattice_vectors,
     _NormalClosureOracle,
 )
-from covspec.words import MembershipCertificate, contraction_nonmember
+from covspec.words import (
+    MembershipCertificate,
+    Presentation,
+    contraction_nonmember,
+    decide_membership,
+)
 
 from oracles import (
     StatelessOracle,
@@ -55,12 +61,11 @@ X2_SPECTRUM = [Fraction(1), Fraction(5, 4), Fraction(2), Fraction(9, 4),
 
 class TestJumpSet:
     def test_single_value(self):
-        jumps, last = jump_set([(Fraction(5), [1])], IntLattice(1))
-        assert jumps == [Fraction(5)] and last == Fraction(5)
+        assert jump_set([(Fraction(5), [1])], IntLattice(1)) == [Fraction(5)]
 
     def test_multiples_generate_nothing_new(self):
         items = [(Fraction(k), [k]) for k in (2, 4, 6, 8)]
-        jumps, _ = jump_set(items, IntLattice(1))
+        jumps = jump_set(items, IntLattice(1))
         assert jumps == [Fraction(2)]
 
     def test_rectangular_lattice(self):
@@ -71,13 +76,13 @@ class TestJumpSet:
                     q = Fraction(4 * a * a + 9 * b * b)
                     items.append((q, [a, b]))
         items.sort(key=lambda t: t[0])
-        jumps, _ = jump_set(items, IntLattice(2))
+        jumps = jump_set(items, IntLattice(2))
         assert jumps == [Fraction(4), Fraction(9)]  # squared norms 2^2, 3^2
 
     def test_same_level_tested_before_added(self):
         # two equal vectors at one level: only one jump, not two
         items = [(Fraction(1), [1]), (Fraction(1), [-1]), (Fraction(4), [2])]
-        jumps, _ = jump_set(items, IntLattice(1))
+        jumps = jump_set(items, IntLattice(1))
         assert jumps == [Fraction(1)]
 
     def test_stops_at_saturation(self):
@@ -88,8 +93,7 @@ class TestJumpSet:
                 yield Fraction(k), [k]
                 k += 1
 
-        jumps, last = jump_set(endless(), IntLattice(1))
-        assert jumps == [Fraction(2), Fraction(3)] and last == Fraction(3)
+        assert jump_set(endless(), IntLattice(1)) == [Fraction(2), Fraction(3)]
 
     def test_unsorted_items_rejected(self):
         items = [(Fraction(4), [4]), (Fraction(2), [2])]
@@ -120,17 +124,17 @@ class TestGraphSpectra:
     def test_wedge(self, wedge23):
         spectrum, report = covering_spectrum(wedge23)
         assert list(spectrum.values) == [Fraction(1), Fraction(3, 2)]
-        assert [q.length for q in report.jumps] == [Fraction(2), Fraction(3)]
+        assert [c.length for c, _ in report.jumps] == [Fraction(2), Fraction(3)]
         assert report.verify_all_certificates(wedge23)
 
     def test_wedge_first_jump_is_shortest_class(self, wedge23):
         _, report = covering_spectrum(wedge23)
         shortest = min(c.length for c in enumerate_classes(wedge23, Fraction(10)))
-        assert report.jumps[0].length == shortest
+        assert report.jumps[0][0].length == shortest
 
     def test_jumps_strictly_increasing(self, fano_run):
         for report in (fano_run(LA, LB)[2], fano_run(LA, LB)[5]):
-            vals = [q.length for q in report.jumps]
+            vals = [c.length for c, _ in report.jumps]
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_fano_spectra(self, fano_run):
@@ -139,7 +143,7 @@ class TestGraphSpectra:
         assert list(s2.values) == X2_SPECTRUM
         assert Fraction(13, 4) in s1 and Fraction(13, 4) not in s2
         for s, r in ((s1, r1), (s2, r2)):
-            assert list(s.values) == [q.length / 2 for q in r.jumps]
+            assert list(s.values) == [c.length / 2 for c, _ in r.jumps]
 
     def test_fano_second_length_pair(self, fano_run):
         _, s1, _, _, s2, _ = fano_run(Fraction(2), Fraction(9, 4))
@@ -192,7 +196,7 @@ class TestGraphSpectra:
         # the wedge saturates at 3, where both generators are relators
         spectrum, report = covering_spectrum(wedge23, budget=Fraction(3))
         assert list(spectrum.values) == [Fraction(1), Fraction(3, 2)]
-        assert report.processed_to == Fraction(3)
+        assert report.classes[-1].length == Fraction(3)
 
     def test_budget_exhaustion(self, wedge23):
         with pytest.raises(BudgetExhaustedError):
@@ -202,27 +206,27 @@ class TestGraphSpectra:
         _, s1, r1, _, _, _ = fano_run(LA, LB)
         X1 = MetricGraph(fano_graphs[0], {"A": LA, "B": LB})
         spectrum, report = covering_spectrum(X1, budget=Fraction(40))
-        assert spectrum == s1 and report.processed_to == r1.processed_to
-        assert report.processed_to < Fraction(40)
+        assert spectrum == s1 and report.classes[-1].length == r1.classes[-1].length
+        assert report.classes[-1].length < Fraction(40)
 
     def test_jump_records_follow_witness_queries(self, fano_run):
         # a level's querying stops at its first non-member, which is the
         # last query of the level and its jump witness
         X1, _, r1, _, _, _ = fano_run(LA, LB)
         assert r1.jumps
-        for j in r1.jumps:
-            assert j.certificate.verdict == "non_member"
-            level = [q for q in r1.queries if q.length == j.length]
-            assert level[-1] is j
+        for cls, cert in r1.jumps:
+            assert cert.verdict == "non_member"
+            level = [q for q in r1.queries if q[0].length == cls.length]
+            assert level[-1] == (cls, cert)
 
     def test_replay_rejects_an_inconsistent_report(self, theta_graph, fano_run):
         # the checker rewrites and measures every loop itself, so a loop
-        # that does not close in the graph, or a class or query whose
-        # length is not its loop's, fails replay
+        # that does not close in the graph, or a class whose length is not
+        # its loop's, fails replay
         for tamper in (
             lambda r: r.classes.__setitem__(0, MarkedClass(Fraction(1), CyclicWord([0]))),
             lambda r: r.classes.__setitem__(-1, MarkedClass(Fraction(4), r.classes[-1].word)),
-            lambda r: setattr(r.queries[0], "length", Fraction(5, 2)),
+            lambda r: r.classes.__setitem__(0, MarkedClass(Fraction(5, 2), r.classes[0].word)),
         ):
             _, report = covering_spectrum(theta_graph)
             assert report.verify_all_certificates(theta_graph)
@@ -233,18 +237,50 @@ class TestGraphSpectra:
         # the lengths must be the graph's and the classes in length order.
         # On X1 two forgeries keep every certificate replaying and fail
         # only these checks: classes 6 and 7 (lengths 5 and 6) swapped, and
-        # the jump query at 5/2 relabelled 2, whose abelian certificate
+        # the jump class at 5/2 relabelled 2, whose abelian certificate
         # holds against no relators too
         X1, _, r1, _, _, _ = fano_run(LA, LB)
-        assert [r1.classes[k].length for k in (6, 7)] == [Fraction(5), Fraction(6)]
-        assert r1.queries[1].length == LB and r1.queries[1] in r1.jumps
+        lengths = [c.length for c in r1.classes]
+        assert lengths[1] == LB and lengths[6:8] == [Fraction(5), Fraction(6)]
+        assert r1.certificates[1].verdict == "non_member"
+        # the querying of a level stops at its first non-member and nowhere
+        # else: level 4 is classes 2-3, and level 15/2 is classes 12-14,
+        # asked member, non-member, not asked
+        assert lengths[2:4] == [Fraction(4)] * 2 and lengths[12:] == [Fraction(15, 2)] * 3
+        assert [c and c.verdict for c in r1.certificates[12:]] == ["member", "non_member", None]
+        relators = [loop_to_free_word(X1, c.word) for c in r1.classes[:2]]
+        # class 3's own verdict against the classes shorter than 4, which
+        # replays: only the level rule rejects it in place of class 2's
+        cert3 = decide_membership(Presentation(X1.rank, relators),
+                                  loop_to_free_word(X1, r1.classes[3].word))
         for tamper in (
             lambda r: r.classes.__setitem__(slice(6, 8), r.classes[7:5:-1]),
-            lambda r: setattr(r.queries[1], "length", Fraction(2)),
+            lambda r: r.classes.__setitem__(1, MarkedClass(Fraction(2), r.classes[1].word)),
+            # a jump's certificate dropped: level 15/2 stops at a member
+            lambda r: r.certificates.__setitem__(13, None),
+            # every certificate of level 4 dropped
+            lambda r: r.certificates.__setitem__(slice(2, 4), [None, None]),
+            # a certificate after a None in its level
+            lambda r: r.certificates.__setitem__(slice(2, 4), [None, cert3]),
+            # a certificate past a non-member
+            lambda r: r.certificates.__setitem__(3, cert3),
+            # a certificate list that does not match the classes
+            lambda r: r.certificates.pop(),
         ):
             report = copy.deepcopy(r1)
             tamper(report)
             assert not report.verify_all_certificates(X1)
+
+    @pytest.mark.parametrize("dart", [100, -1])
+    def test_replay_rejects_a_dart_outside_the_graph(self, wedge23, dart):
+        # an unasked class after the jump at 3: dart 100 names no edge, and
+        # dart -1 would index the dart tables from the end, so the word
+        # would measure 3 and rewrite to the trivial word
+        _, report = covering_spectrum(wedge23)
+        assert report.verify_all_certificates(wedge23)
+        report.classes.append(MarkedClass(Fraction(3), CyclicWord([dart])))
+        report.certificates.append(None)
+        assert not report.verify_all_certificates(wedge23)
 
     def test_replay_rejects_undecided_and_missing_certificates(self, wedge23):
         # the driver raises before it returns such a report; an undecided
@@ -252,7 +288,7 @@ class TestGraphSpectra:
         # member certificate for the closure to be everything
         undecided = MembershipCertificate("undecided", "exhausted", {})
         for tamper in (
-            lambda r: setattr(r.queries[-1], "certificate", undecided),
+            lambda r: r.certificates.__setitem__(-1, undecided),
             lambda r: r.generator_certificates.__setitem__(0, undecided),
             lambda r: r.generator_certificates.__setitem__(1, None),
         ):
@@ -281,10 +317,10 @@ class TestGraphSpectra:
         # <m < L> and <m <= L> coincide; jumps are exactly the levels
         # where they do not
         _, s1, r1, _, _, _ = fano_run(LA, LB)
-        jump_levels = {q.length for q in r1.jumps}
+        jump_levels = {c.length for c, _ in r1.jumps}
         for L in r1.realized_lengths():
-            queried = [q for q in r1.queries if q.length == L]
-            outside = any(q.certificate.verdict == "non_member" for q in queried)
+            queried = [cert for c, cert in r1.queries if c.length == L]
+            outside = any(cert.verdict == "non_member" for cert in queried)
             assert outside == (L in jump_levels)
 
 
@@ -409,10 +445,9 @@ def full_report(X):
     try:
         spectrum, report = covering_spectrum(X)
     except UndecidedOracleError as err:
-        return "undecided", err.length, err.target_name, err.certificate
-    queries = [(q.length, q.target_name, q.target_loop, q.certificate) for q in report.queries]
+        return "undecided", str(err), err.certificate
     replays = report.verify_all_certificates(X), replay_stateless(report, X)
-    return spectrum, queries, report.termination, report.processed_to, replays
+    return spectrum, report.classes, report.certificates, report.termination, replays
 
 
 class TimedOracle(_NormalClosureOracle):
@@ -467,8 +502,8 @@ class TestSharedPresentation:
         X = MetricGraph(graph, {"A": Fraction(2), "B": Fraction(5, 2)})
         _, report = covering_spectrum(X)
         assert report.termination["mode"] == "quotient_enumerated"
-        keys = {(sum(c.length < q.length for c in report.classes), q.certificate.evidence["cap"])
-                for q in report.queries if q.certificate.tier == "coset_enumeration"}
+        keys = {(sum(d.length < c.length for d in report.classes), cert.evidence["cap"])
+                for c, cert in report.queries if cert.tier == "coset_enumeration"}
         keys.add((len(report.classes), 3000))
         calls = []
         inner = words_mod.todd_coxeter
@@ -596,8 +631,7 @@ class TestSaturationByGeneratorClasses:
     @staticmethod
     def record(run):
         spectrum, report = run
-        return (spectrum, report.processed_to, [q.certificate for q in report.queries],
-                report.termination)
+        return spectrum, report.classes[-1].length, report.certificates, report.termination
 
     def check(self, X):
         ceiling = max(generator_class_lengths(X))
@@ -639,17 +673,17 @@ class TestEmbeddedCycles:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_generated_graphs(self, X):
         report = decided_run(X)[1]
-        assert all(embedded(X, q.target_loop) for q in report.jumps)
-        for q in report.queries:
-            assert embedded(X, q.target_loop) or q.certificate.verdict == "member"
+        assert all(embedded(X, c.word) for c, _ in report.jumps)
+        for c, cert in report.queries:
+            assert embedded(X, c.word) or cert.verdict == "member"
 
     def test_fano_pair(self, fano_run):
         X1, _, r1, X2, _, r2 = fano_run(LA, LB)
         for X, report in ((X1, r1), (X2, r2)):
-            assert report.jumps and all(embedded(X, q.target_loop) for q in report.jumps)
-            assert any(not embedded(X, q.target_loop) for q in report.queries)
-            for q in report.queries:
-                assert embedded(X, q.target_loop) or q.certificate.verdict == "member"
+            assert report.jumps and all(embedded(X, c.word) for c, _ in report.jumps)
+            assert any(not embedded(X, c.word) for c, _ in report.queries)
+            for c, cert in report.queries:
+                assert embedded(X, c.word) or cert.verdict == "member"
 
 
 class TestContractionIsAbelian:
@@ -660,10 +694,10 @@ class TestContractionIsAbelian:
 
     @staticmethod
     def check(report):
-        for q in report.queries:
-            loops = [c.word for c in report.classes if c.length < q.length]
-            if contraction_nonmember(loops, q.target_loop) is not None:
-                assert (q.certificate.verdict, q.certificate.tier) == ("non_member", "abelian")
+        for c, cert in report.queries:
+            loops = [d.word for d in report.classes if d.length < c.length]
+            if contraction_nonmember(loops, c.word) is not None:
+                assert (cert.verdict, cert.tier) == ("non_member", "abelian")
 
     @given(short_schreier_graphs(max_degree=6))
     @settings(max_examples=60, deadline=None, derandomize=True)

@@ -256,10 +256,9 @@ class TestToddCoxeter:
         graph = cayley_graph([("A", Permutation(a)), ("B", Permutation(b))])
         X = MetricGraph(graph, {"A": LA, "B": LB})
         _, report = covering_spectrum(X)
-        got = [(sum(c.length < q.length for c in report.classes),
-                q.certificate.evidence["table_size"],
-                q.certificate.evidence["target_coset"], q.certificate.evidence["complete"])
-               for q in report.queries if q.certificate.tier == "coset_enumeration"]
+        got = [(sum(d.length < c.length for d in report.classes), cert.evidence["table_size"],
+                cert.evidence["target_coset"], cert.evidence["complete"])
+               for c, cert in report.queries if cert.tier == "coset_enumeration"]
         assert got == evidence
         assert report.verify_all_certificates(X)
 
@@ -564,7 +563,7 @@ class TestPresentation:
 _OPTIMIZED_CHECKS = """
 import sys
 from fractions import Fraction
-from covspec import ColoredGraph, Edge, MetricGraph, covering_spectrum
+from covspec import ColoredGraph, Edge, MarkedClass, MetricGraph, covering_spectrum
 from covspec.words import _syntactic_cert
 
 assert sys.flags.optimize, "not running under -O"
@@ -579,11 +578,17 @@ X = MetricGraph(graph, {"A": Fraction(2), "B": Fraction(3)})
 _, report = covering_spectrum(X)
 if not report.verify_all_certificates(X):
     sys.exit("certificate replay failed")
-# B's jump query at 3 relabelled 2: its abelian certificate holds against
-# the empty context too, so only the length check rejects it
-report.queries[-1].length = Fraction(2)
+# B's class at 3 relabelled 2: its abelian certificate holds against the
+# empty context too, so only the length check rejects it
+report.classes[-1] = MarkedClass(Fraction(2), report.classes[-1].word)
 if report.verify_all_certificates(X):
-    sys.exit("a query whose length is not its loop's replayed")
+    sys.exit("a class whose length is not its loop's replayed")
+# B's jump query dropped: every certificate left replays, so only the
+# level rule rejects it
+_, report = covering_spectrum(X)
+report.certificates[-1] = None
+if report.verify_all_certificates(X):
+    sys.exit("a level with no query replayed")
 """
 
 
