@@ -193,16 +193,21 @@ class _NormalClosureOracle:
         self.X = X
         self.report = report
         self.presentation = Presentation(X.rank)
+        # the words of queried classes not yet added, by loop: a level is
+        # queried before any of it is added
+        self._words = {}
 
     def contains(self, cls: MarkedClass) -> bool:
-        cert = decide_membership(self.presentation, loop_to_free_word(self.X, cls.word))
+        word = self._words[cls.word] = loop_to_free_word(self.X, cls.word)
+        cert = decide_membership(self.presentation, word)
         self.report.certificates.append(cert)
         if cert.verdict == UNDECIDED:
             raise UndecidedOracleError(cls.length, render_loop(self.X, cls.word), cert)
         return cert.verdict == MEMBER
 
     def add(self, cls: MarkedClass) -> None:
-        self.presentation.add(loop_to_free_word(self.X, cls.word))
+        word = self._words.pop(cls.word, None)
+        self.presentation.add(loop_to_free_word(self.X, cls.word) if word is None else word)
         self.report.classes.append(cls)
         # jump_set queries a prefix of each level before adding any of it
         if len(self.report.certificates) < len(self.report.classes):
@@ -214,14 +219,18 @@ class _NormalClosureOracle:
         certs = self.report.generator_certificates
         lattice = self.presentation.lattice
         # a generator outside the relator lattice is outside the closure, so
-        # neither a syntactic witness nor a complete table can certify it
-        inside = [lattice.contains([int(i == g) for i in range(rank)]) for g in range(rank)]
+        # neither a syntactic witness nor a complete table can certify it;
+        # a certified generator is inside
+        outside = False
         for g in range(rank):
-            if certs[g] is None and inside[g]:
-                certs[g] = syntactic_member(self.presentation, (g + 1,))
+            if certs[g] is None:
+                if lattice.contains([int(i == g) for i in range(rank)]):
+                    certs[g] = syntactic_member(self.presentation, (g + 1,))
+                else:
+                    outside = True
         if all(c is not None for c in certs):
             return True
-        if not all(inside):
+        if outside:
             return False
         # one bounded enumeration can settle all generators at once
         cap = 3000

@@ -7,10 +7,13 @@ report, never a guess.  Each tier takes (presentation, target) and returns
 a certificate or None; ``decide_membership`` runs them cheap to expensive
 and stops at the first certificate:
 
-  syntactic    member      witness expression of conjugated relator powers
   abelian      non_member  exponent vector outside the relator lattice
+  syntactic    member      witness expression of conjugated relator powers
   coset        exact       Todd-Coxeter on F/<<relators>>, trivial subgroup,
                            at most ``COSET_CAP`` rows
+
+The first two are sound and certify opposite verdicts, so at most one of
+them answers any query, and their order moves no certificate.
 
 ``contraction_nonmember`` is a standalone predicate, not a tier: the
 abelian tier decides every query it could (see its docstring).
@@ -100,17 +103,20 @@ class MembershipCertificate:
 
 class Presentation:
     """Append-only relators of F_rank and what the tiers read of them: the
-    reduced nonempty ``relators`` (certificates index these), ``forms``
-    (f, conj, j, exp), one per distinct rotation f of a relator's cyclic
-    core or its inverse, with f == conj * relators[j]^exp * conj^-1,
-    ``form_index`` from f to its position, the exponent vectors'
-    ``lattice``, and the last coset table."""
+    reduced nonempty ``relators`` (certificates index these), the exponent
+    vectors' ``lattice``, the last coset table, and the syntactic tier's
+    ``forms`` (f, conj, j, exp), one per distinct rotation f of a relator's
+    cyclic core or its inverse, with f == conj * relators[j]^exp * conj^-1,
+    and ``form_index`` from f to its position.  Forms are built on first
+    read, over the relators added since the last one, so a presentation
+    that only replays certificates never builds any."""
 
     def __init__(self, rank: int, relators: Sequence[Sequence[int]] = ()):
         self.rank = rank
         self.relators: list[FreeWord] = []
-        self.forms: list[tuple[FreeWord, FreeWord, int, int]] = []
-        self.form_index: dict[FreeWord, int] = {}
+        self._forms: list[tuple[FreeWord, FreeWord, int, int]] = []
+        self._form_index: dict[FreeWord, int] = {}
+        self._formed = 0  # relators whose forms are built
         self.lattice = IntLattice(rank) if rank else None
         self._table = (None, None)
         for rel in relators:
@@ -123,23 +129,36 @@ class Presentation:
         bad = [x for x in rel if abs(x) > self.rank]
         if bad:
             raise ValueError(f"letter {bad[0]} names no generator of F_{self.rank}")
-        j = len(self.relators)
         self.relators.append(rel)
         if self.lattice is not None:
             self.lattice.add(exponent_vector(rel, self.rank))
-        core, pref = _strip_to_cyclic(rel)
-        # rotations by i and by i + p coincide for the least period p
-        p = next(p for p in range(1, len(core) + 1) if core[p:] + core[:p] == core)
-        for base, exp in ((core, 1), (word_inverse(core), -1)):
-            for i in range(p):
-                f = base[i:] + base[:i]
-                if f not in self.form_index:
-                    self.form_index[f] = len(self.forms)
-                    # f == conj * rel^exp * conj^-1 with conj = (pref * base[:i])^-1,
-                    # since core == pref^-1 * rel * pref and a rotation conjugates
-                    # by the rotated-away prefix
-                    conj = free_reduce(word_inverse(pref + base[:i]))
-                    self.forms.append((f, conj, j, exp))
+
+    @property
+    def forms(self) -> list[tuple[FreeWord, FreeWord, int, int]]:
+        self._extend_forms()
+        return self._forms
+
+    @property
+    def form_index(self) -> dict[FreeWord, int]:
+        self._extend_forms()
+        return self._form_index
+
+    def _extend_forms(self) -> None:
+        for j in range(self._formed, len(self.relators)):
+            core, pref = _strip_to_cyclic(self.relators[j])
+            # rotations by i and by i + p coincide for the least period p
+            p = next(p for p in range(1, len(core) + 1) if core[p:] + core[:p] == core)
+            for base, exp in ((core, 1), (word_inverse(core), -1)):
+                for i in range(p):
+                    f = base[i:] + base[:i]
+                    if f not in self._form_index:
+                        self._form_index[f] = len(self._forms)
+                        # f == conj * rel^exp * conj^-1 with conj = (pref * base[:i])^-1,
+                        # since core == pref^-1 * rel * pref and a rotation conjugates
+                        # by the rotated-away prefix
+                        conj = free_reduce(word_inverse(pref + base[:i]))
+                        self._forms.append((f, conj, j, exp))
+        self._formed = len(self.relators)
 
     def coset_table(self, cap: int) -> "CosetTable":
         """The Todd-Coxeter table at ``cap``, kept until the relators or cap change."""
@@ -165,7 +184,7 @@ def syntactic_member(pres: Presentation, target: Sequence[int]) -> MembershipCer
     ``SYNTACTIC_TERMS`` deep.  Sound by construction: the witness
     expression multiplies out to the target.
     """
-    relators, forms = pres.relators, pres.forms
+    relators, forms, form_index = pres.relators, pres.forms, pres.form_index
     target = free_reduce(target)
     if not target:
         return MembershipCertificate(MEMBER, "syntactic", {"expression": []})
@@ -184,7 +203,7 @@ def syntactic_member(pres: Presentation, target: Sequence[int]) -> MembershipCer
     # products of two rotated relators, which the shrinking peel below can
     # miss; forms are reduced and distinct, so only f2 == f1^-1 * core fits
     for f1, c1, j1, e1 in forms:
-        k = pres.form_index.get(free_reduce(word_inverse(f1) + core))
+        k = form_index.get(free_reduce(word_inverse(f1) + core))
         if k is not None:
             _, c2, j2, e2 = forms[k]
             expr = [
@@ -267,9 +286,14 @@ def abelian_nonmember(pres: Presentation, target: Sequence[int]) -> MembershipCe
     integer lattice spanned by the relators' vectors.
 
     Sound because the normal closure dies in the abelianization quotient
-    Z^rank / <relator vectors>.
+    Z^rank / <relator vectors>.  Rank 0 has no lattice: Z^0 is its own
+    relator lattice, so nothing lies outside it.
     """
-    tvec = exponent_vector(target, pres.rank)
+    if pres.lattice is None:
+        return None
+    # reduced first, as the other tiers reduce it: a letter 0 raises, and
+    # letters that cancel leave no trace
+    tvec = exponent_vector(free_reduce(target), pres.rank)
     if pres.lattice.contains(tvec):
         return None
     vectors = [exponent_vector(r, pres.rank) for r in pres.relators]
@@ -467,7 +491,7 @@ def coset_certificate(
 def decide_membership(pres: Presentation, target: Sequence[int]) -> MembershipCertificate:
     """Run the tiers in order and return the first conclusive certificate."""
     # built per call: the benchmark's layer tracer rebinds the tier names
-    for tier in (syntactic_member, abelian_nonmember, coset_membership):
+    for tier in (abelian_nonmember, syntactic_member, coset_membership):
         cert = tier(pres, target)
         if cert is not None:
             return cert

@@ -16,7 +16,9 @@ oracles keep the group layer's first, index-free paths, multiplying with
 element by element, and jump equivalence by the unmemoised pattern loop
 with a quadratic witness search.  ``action_is_free`` checks the covering
 argument: G acts freely on its Cayley graph from the left.  The membership oracle is kept stateless,
-rebuilding everything it reads from the raw relators on every query.
+rebuilding everything it reads from the raw relators on every query, and
+``decide_membership_syntactic_first`` asks the library's tiers in their
+first order: syntactic, abelian, coset.
 ``todd_coxeter_reference`` is the coset enumerator before its per-row
 overhead was cut, which must build the same tables.
 ``graph_to_json`` writes the graph JSON that ``graph_from_json`` reads,
@@ -33,6 +35,7 @@ from itertools import permutations
 from math import isqrt
 from time import perf_counter
 
+from covspec import words as words_mod
 from covspec.graphs import ColoredGraph, Edge, cayley_graph
 from covspec.groups import CapExceededError, Permutation
 from covspec.lattices import IntLattice
@@ -610,6 +613,18 @@ def decide_membership_stateless(relators, target, rank, *, loops=None,
     return MembershipCertificate(UNDECIDED, "exhausted", {"budgets": {
         "syntactic_terms": SYNTACTIC_TERMS, "conjugator_length": CONJUGATOR_LENGTH,
         "coset_cap": coset_cap,
+    }})
+
+
+def decide_membership_syntactic_first(pres, target):
+    for tier in (words_mod.syntactic_member, words_mod.abelian_nonmember,
+                 words_mod.coset_membership):
+        cert = tier(pres, target)
+        if cert is not None:
+            return cert
+    return MembershipCertificate(UNDECIDED, "exhausted", {"budgets": {
+        "syntactic_terms": SYNTACTIC_TERMS, "conjugator_length": CONJUGATOR_LENGTH,
+        "coset_cap": words_mod.COSET_CAP,
     }})
 
 

@@ -154,6 +154,36 @@ class TestGraphSpectra:
         assert r1.verify_all_certificates(X1)
         assert r2.verify_all_certificates(X2)
 
+    def test_replay_builds_no_rotated_form(self, fano_run, monkeypatch):
+        # a syntactic certificate replays by multiplying its witness out;
+        # only the producer's search reads the rotated forms
+        X1, _, r1, _, _, _ = fano_run(LA, LB)
+        assert {cert.tier for _, cert in r1.queries} >= {"syntactic", "abelian"}
+        reads = []
+        for name in ("forms", "form_index"):
+            prop = getattr(Presentation, name)
+            monkeypatch.setattr(Presentation, name, property(
+                lambda self, name=name, prop=prop: reads.append(name) or prop.fget(self)))
+        build = Presentation._extend_forms
+        monkeypatch.setattr(Presentation, "_extend_forms",
+                            lambda self: reads.append("build") or build(self))
+        assert r1.verify_all_certificates(X1)
+        assert reads == []
+        # while the producer's syntactic tier reads both
+        assert decide_membership(Presentation(1, [(1,)]), (1, 1)).tier == "syntactic"
+        assert reads == ["forms", "build", "form_index", "build"]
+
+    def test_each_class_loop_is_rewritten_once(self, fano_run, monkeypatch):
+        # a queried class keeps its word for its add
+        X1 = fano_run(LA, LB)[0]
+        calls = []
+        rewrite = spectrum_mod.loop_to_free_word
+        monkeypatch.setattr(spectrum_mod, "loop_to_free_word",
+                            lambda X, loop: calls.append(loop) or rewrite(X, loop))
+        _, report = covering_spectrum(X1)
+        assert len(report.queries) > 0
+        assert calls == [c.word for c in report.classes]
+
     def test_rescaling_covariance(self, fano_graphs):
         g1, _ = fano_graphs
         base, _ = covering_spectrum(MetricGraph(g1, {"A": LA, "B": LB}))

@@ -2,8 +2,8 @@
 
 bench/tracing.py wraps covspec functions in the namespaces of the modules
 that call them; a refactor that unbinds one of those names breaks the
-traced benchmark.  The traced calls run the spectrum driver, the
-flat-torus spectrum, and then the group and graph layers in the order a
+traced benchmark.  The traced calls run the spectrum driver on two
+wedges, the second with member queries, then the flat-torus spectrum, and then the group and graph layers in the order a
 Gassmann-Sunada triple uses them.
 The check runs in a fresh interpreter so that the tracer meets a freshly
 imported package and cannot leave it patched.
@@ -44,6 +44,14 @@ try:
     X = covspec.MetricGraph(graph, {"A": Fraction(2), "B": Fraction(3)})
     spectrum, report = cv.spectrum.covering_spectrum(X)
     assert spectrum.as_strings() == ["1/1", "3/2"]
+    assert report.verify_all_certificates(X)
+    # the (2, 3) wedge asks only non-members, which the abelian tier
+    # decides; at (1, 3) A^2 and A^3 are members, which reach the
+    # syntactic tier
+    X = covspec.MetricGraph(graph, {"A": Fraction(1), "B": Fraction(3)})
+    spectrum, report = cv.spectrum.covering_spectrum(X)
+    assert spectrum.as_strings() == ["1/2", "3/2"]
+    assert [cert.tier for _, cert in report.queries].count("syntactic") == 2
     assert report.verify_all_certificates(X)
     torus = cv.spectrum.covering_spectrum_lattice([[2, 0], [0, 3]])
     assert torus.display() == ["1/1", "3/2"]

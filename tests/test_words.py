@@ -36,6 +36,7 @@ from covspec.words import CosetTable, Presentation, contraction_nonmember, least
 
 from oracles import (
     decide_membership_stateless,
+    decide_membership_syntactic_first,
     relator_forms,
     syntactic_member_stateless,
     todd_coxeter_reference,
@@ -355,6 +356,22 @@ class TestDecideMembership:
         assert cert.verdict == "member"
         assert verify_certificate(cert, Presentation(X2.rank, words), tw)
 
+    def test_rank_zero_decides_the_empty_word_as_a_syntactic_member(self):
+        # Z^0 has no lattice for the abelian tier to leave
+        assert abelian_nonmember(Presentation(0), ()) is None
+        cert = decide_membership(Presentation(0), ())
+        assert cert == MembershipCertificate("member", "syntactic", {"expression": []})
+
+    def test_a_target_is_reduced_before_any_tier_reads_it(self):
+        # the abelian tier, asked first, reduces as the other tiers do: a
+        # letter 0 would get a non-member certificate, and a cancelling
+        # letter past the rank an IndexError
+        pres = Presentation(2, [(1, 2, -1, -2)])
+        assert decide_membership(pres, (3, -3)) == decide_membership(pres, ())
+        for target in [(0,), (1, 0)]:
+            with pytest.raises(ValueError, match="0 is not a letter"):
+                decide_membership(pres, target)
+
     def test_undecided_reported_honestly(self, monkeypatch):
         # is [y,z] in <<x>>? it is not, but no tier can see that
         target = (2, 3, -2, -3)
@@ -469,6 +486,26 @@ _letters = st.sampled_from([1, -1, 2, -2, 3, -3])
 _relators = st.lists(_letters, min_size=1, max_size=5).map(cyclic_reduce).filter(bool)
 
 
+class TestTierOrder:
+    @given(st.lists(_relators, min_size=1, max_size=3), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_abelian_first_gives_the_syntactic_first_certificate(self, relators, data):
+        # random words are mostly non-members, and conjugated products of
+        # two relator forms mostly members
+        forms = [f for f, _, _, _ in relator_forms(relators)]
+        f1, f2 = data.draw(st.sampled_from(forms)), data.draw(st.sampled_from(forms))
+        c = tuple(data.draw(st.lists(_letters, max_size=2)))
+        targets = [
+            tuple(data.draw(st.lists(_letters, max_size=6))),
+            free_reduce(c + f1 + word_inverse(c) + f2),
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(words_mod, "COSET_CAP", 500)
+            for target in targets:
+                cert = decide_membership(Presentation(3, relators), target)
+                assert cert == decide_membership_syntactic_first(Presentation(3, relators), target)
+
+
 class TestPresentation:
     @pytest.mark.parametrize(
         "relators",
@@ -481,6 +518,20 @@ class TestPresentation:
     def test_forms_match_every_rotation_deduplicated(self, relators):
         pres = Presentation(3, relators)
         assert pres.forms == relator_forms(relators)
+        assert pres.form_index == {f: k for k, (f, _, _, _) in enumerate(pres.forms)}
+
+    @given(st.lists(st.tuples(_relators, st.sampled_from([None, "forms", "form_index"])),
+                    min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_forms_built_between_reads_match_every_rotation(self, steps):
+        # each read extends the forms over the relators added since the last
+        pres = Presentation(3)
+        for i, (rel, read) in enumerate(steps):
+            pres.add(rel)
+            if read is not None:
+                getattr(pres, read)
+                assert pres._forms == relator_forms([r for r, _ in steps[:i + 1]])
+        assert pres.forms == relator_forms([rel for rel, _ in steps])
         assert pres.form_index == {f: k for k, (f, _, _, _) in enumerate(pres.forms)}
 
     def test_two_form_search_takes_the_first_factorisation(self):
