@@ -2,6 +2,7 @@
 
 Membership tests here must be exact: they back both the abelianization
 tier of the word oracle and the sublattice filtration of flat tori.
+Z^0, which holds only the empty vector, is a lattice too.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ class IntLattice:
     """
 
     def __init__(self, n: int):
-        if n <= 0:
-            raise ValueError(f"ambient dimension must be positive, got {n}")
+        if n < 0:
+            raise ValueError(f"ambient dimension must be nonnegative, got {n}")
         self.n = n
         self.rows: dict[int, list[int]] = {}
 

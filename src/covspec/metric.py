@@ -180,7 +180,11 @@ class MetricGraph:
 
 
 def check_closed_loop(X: MetricGraph, darts: Sequence[int]) -> None:
-    """Raise unless consecutive darts chain and the path closes up."""
+    """Raise ValueError unless every dart is X's, consecutive darts chain and the path closes."""
+    n = len(X.dart_target)
+    if darts and (min(darts) < 0 or max(darts) >= n):
+        bad = next(d for d in darts if not 0 <= d < n)
+        raise ValueError(f"dart {bad} is not one of the graph's {n} darts")
     for i, d in enumerate(darts):
         j = (i + 1) % len(darts)
         if X.dart_target[d] != X.dart_origin[darts[j]]:
@@ -248,13 +252,13 @@ def loop_to_free_word(X: MetricGraph, path: Sequence[int] | CyclicWord) -> tuple
     Tree darts vanish; non-tree dart 2e maps to its generator letter.
     Letters are signed 1-based generator indices.  Two loops are freely
     homotopic iff their outputs agree up to rotation and inversion.
+    Raises ValueError on a path that ``check_closed_loop`` rejects.
     """
     if isinstance(path, CyclicWord):
         darts: Sequence[int] = path.darts
     else:
         darts = list(path)
-    if darts:
-        check_closed_loop(X, darts)
+    check_closed_loop(X, darts)
     word: list[int] = []
     for d in darts:
         e = dart_edge(d)

@@ -155,10 +155,12 @@ class FiltrationReport:
         if len(self.certificates) != len(self.classes) or any(
                 c is None or c.verdict != MEMBER for c in self.generator_certificates):
             return False
+        try:
+            relators = [loop_to_free_word(X, c.word) for c in self.classes]
+        except ValueError:  # a dart outside X or a loop that does not close in it
+            return False
         # lengths in integer units of 1/scale, measured on the loops in X
         scale, units = length_units(X)
-        if any(not 0 <= d < 2 * len(units) for c in self.classes for d in c.word.darts):
-            return False
         lengths = [sum(units[d // 2] for d in c.word.darts) for c in self.classes]
         if lengths != sorted(lengths) or any(c.length.numerator * scale != n * c.length.denominator
                                              for c, n in zip(self.classes, lengths)):
@@ -168,10 +170,6 @@ class FiltrationReport:
         verdicts = [c and c.verdict for c in self.certificates]
         if any((v is not None) != (i == k or verdicts[i - 1] == MEMBER)
                for i, (k, v) in enumerate(zip(starts, verdicts))):
-            return False
-        try:
-            relators = [loop_to_free_word(X, c.word) for c in self.classes]
-        except ValueError:  # a loop that does not close in X
             return False
         checks = [(k, word, c) for k, word, c in zip(starts, relators, self.certificates)
                   if c is not None]
@@ -218,19 +216,15 @@ class _NormalClosureOracle:
         rank = self.X.rank
         certs = self.report.generator_certificates
         lattice = self.presentation.lattice
-        # a generator outside the relator lattice is outside the closure, so
-        # neither a syntactic witness nor a complete table can certify it;
-        # a certified generator is inside
-        outside = False
+        # a generator outside the relator lattice is outside the closure and
+        # a certified one inside, so an uncertified one is outside exactly
+        # when the lattice is not all of Z^rank
         for g in range(rank):
-            if certs[g] is None:
-                if lattice.contains([int(i == g) for i in range(rank)]):
-                    certs[g] = syntactic_member(self.presentation, (g + 1,))
-                else:
-                    outside = True
-        if all(c is not None for c in certs):
+            if certs[g] is None and lattice.contains([int(i == g) for i in range(rank)]):
+                certs[g] = syntactic_member(self.presentation, (g + 1,))
+        if None not in certs:
             return True
-        if outside:
+        if not lattice.saturated():
             return False
         # one bounded enumeration can settle all generators at once
         cap = 3000
@@ -318,6 +312,8 @@ def covering_spectrum_lattice(basis: Sequence[Sequence[Fraction | int]]) -> Latt
     stream.  All arithmetic is on squared norms in Q.
     """
     n = len(basis)
+    if not n:
+        raise ValueError("basis must be nonempty")
     rows = [[Fraction(x) for x in row] for row in basis]
     if any(len(r) != n for r in rows):
         raise ValueError("basis must be square")

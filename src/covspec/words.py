@@ -19,6 +19,8 @@ them answers any query, and their order moves no certificate.
 abelian tier decides every query it could (see its docstring).
 
 Words are tuples of signed 1-based generator indices: (1, -2) is g1*g2^-1.
+``Presentation.word`` is the one check of a word's letters, so every entry
+point raises the same ValueError for a letter that names no generator.
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ class Presentation:
     cyclic core or its inverse, with f == conj * relators[j]^exp * conj^-1,
     and ``form_index`` from f to its position.  Forms are built on first
     read, over the relators added since the last one, so a presentation
-    that only replays certificates never builds any."""
+    that only replays certificates never builds any.  ``word`` is the one
+    input check of a free word, relator or target."""
 
     def __init__(self, rank: int, relators: Sequence[Sequence[int]] = ()):
         self.rank = rank
@@ -117,20 +120,23 @@ class Presentation:
         self._forms: list[tuple[FreeWord, FreeWord, int, int]] = []
         self._form_index: dict[FreeWord, int] = {}
         self._formed = 0  # relators whose forms are built
-        self.lattice = IntLattice(rank) if rank else None
+        self.lattice = IntLattice(rank)
         self._table = (None, None)
         for rel in relators:
             self.add(rel)
 
+    def word(self, w: Sequence[int]) -> FreeWord:
+        """``w`` freely reduced; ValueError if a letter names no generator."""
+        w = free_reduce(w)
+        if w and (max(w) > self.rank or min(w) < -self.rank):
+            bad = next(x for x in w if abs(x) > self.rank)
+            raise ValueError(f"letter {bad} names no generator of F_{self.rank}")
+        return w
+
     def add(self, relator: Sequence[int]) -> None:
-        rel = free_reduce(relator)
-        if not rel:
-            return
-        bad = [x for x in rel if abs(x) > self.rank]
-        if bad:
-            raise ValueError(f"letter {bad[0]} names no generator of F_{self.rank}")
-        self.relators.append(rel)
-        if self.lattice is not None:
+        rel = self.word(relator)
+        if rel:
+            self.relators.append(rel)
             self.lattice.add(exponent_vector(rel, self.rank))
 
     @property
@@ -185,12 +191,10 @@ def syntactic_member(pres: Presentation, target: Sequence[int]) -> MembershipCer
     expression multiplies out to the target.
     """
     relators, forms, form_index = pres.relators, pres.forms, pres.form_index
-    target = free_reduce(target)
+    target = pres.word(target)
     if not target:
         return MembershipCertificate(MEMBER, "syntactic", {"expression": []})
     core, wrap = _strip_to_cyclic(target)
-    if not forms:
-        return None
 
     # exact power of a single form
     for f, conj, j, exp in forms:
@@ -264,7 +268,7 @@ def _syntactic_cert(relators, target, expr) -> MembershipCertificate:
 def _check_expression(relators, target, expr) -> bool:
     acc: tuple[int, ...] = ()
     for conj, j, exp in expr:
-        if not 0 <= j < len(relators) or 0 in conj:
+        if not 0 <= j < len(relators):
             return False
         acc = free_reduce(acc + _term_word(relators, tuple(conj), j, exp))
     return acc == free_reduce(target)
@@ -286,14 +290,9 @@ def abelian_nonmember(pres: Presentation, target: Sequence[int]) -> MembershipCe
     integer lattice spanned by the relators' vectors.
 
     Sound because the normal closure dies in the abelianization quotient
-    Z^rank / <relator vectors>.  Rank 0 has no lattice: Z^0 is its own
-    relator lattice, so nothing lies outside it.
+    Z^rank / <relator vectors>.
     """
-    if pres.lattice is None:
-        return None
-    # reduced first, as the other tiers reduce it: a letter 0 raises, and
-    # letters that cancel leave no trace
-    tvec = exponent_vector(free_reduce(target), pres.rank)
+    tvec = exponent_vector(pres.word(target), pres.rank)
     if pres.lattice.contains(tvec):
         return None
     vectors = [exponent_vector(r, pres.rank) for r in pres.relators]
@@ -465,8 +464,9 @@ def coset_membership(pres: Presentation, target: Sequence[int]) -> MembershipCer
     valid, so a fully defined trace landing on 0 still certifies
     membership; anything else is inconclusive.
     """
+    target = pres.word(target)
     result = pres.coset_table(COSET_CAP)
-    return coset_certificate(result, COSET_CAP, result.trace(free_reduce(target)))
+    return coset_certificate(result, COSET_CAP, result.trace(target))
 
 
 def coset_certificate(
@@ -521,17 +521,12 @@ def verify_certificate(
     undecided certificate proves nothing, and malformed evidence is
     rejected, so neither replays."""
     try:
-        target = free_reduce(target)
-        # a letter past the rank names no generator of the presentation
-        if any(abs(x) > pres.rank for x in target):
-            return False
+        target = pres.word(target)
         if cert.tier == "syntactic" and cert.verdict == MEMBER:
             return _check_expression(pres.relators, target, cert.evidence["expression"])
         if cert.tier == "abelian" and cert.verdict == NON_MEMBER:
-            # rank 0 has no lattice: Z^0 is its own relator lattice
             tvec = exponent_vector(target, pres.rank)
-            return (tvec == cert.evidence["target_vector"] and pres.lattice is not None
-                    and not pres.lattice.contains(tvec))
+            return tvec == cert.evidence["target_vector"] and not pres.lattice.contains(tvec)
         if cert.tier == "coset_enumeration":
             return _verify_coset_cert(cert, pres, target)
     except (KeyError, TypeError, ValueError):

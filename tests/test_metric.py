@@ -144,6 +144,10 @@ class TestCyclicWord:
         with pytest.raises(ValueError):
             CyclicWord.from_path([0, 1])  # null-homotopic
 
+    def test_any_dart_number_is_legal(self):
+        # a cyclic word knows no graph; rewriting it in one checks its darts
+        assert CyclicWord([-2]).darts == (-2,)
+
 
 class TestMarkedLength:
     def test_single_loop(self, x1):
@@ -303,6 +307,13 @@ class TestFreeWordRewriting:
     def test_open_path_rejected(self, x1):
         with pytest.raises(ValueError):
             loop_to_free_word(x1, [generator_loop(x1, 0)[0]])
+
+    @pytest.mark.parametrize("darts, bad", [([-2], -2), ([4], 4), ([0, -4], -4)])
+    def test_a_dart_outside_the_graph_is_rejected(self, wedge23, darts, bad):
+        # unchecked, [-2] read dart 2 from the end of the dart tables and
+        # rewrote to the trivial word, and [4] raised IndexError
+        with pytest.raises(ValueError, match=f"dart {bad} is not one of the graph's 4 darts"):
+            loop_to_free_word(wedge23, darts)
 
     def test_distinct_classes_distinct_words(self, x1):
         classes = enumerate_classes(x1, CUTOFF)

@@ -101,7 +101,7 @@ class TestJumpSet:
             jump_set(items, IntLattice(1))
 
 
-_vector_sets = st.integers(1, 3).flatmap(
+_vector_sets = st.integers(0, 4).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.lists(st.integers(-3, 3), min_size=n,
                                                       max_size=n), max_size=4)))
 
@@ -118,6 +118,15 @@ def test_saturated_iff_every_unit_vector_is_inside(drawn):
         lattice.add(v)
     units = [[int(i == j) for j in range(n)] for i in range(n)]
     assert lattice.saturated() == all(lattice.contains(u) for u in units)
+
+
+def test_z0_is_a_lattice():
+    lattice = IntLattice(0)
+    assert lattice.contains([]) and lattice.saturated()
+    lattice.add([])
+    assert lattice.contains([]) and lattice.saturated()
+    with pytest.raises(ValueError):
+        IntLattice(-1)
 
 
 class TestGraphSpectra:
@@ -301,7 +310,7 @@ class TestGraphSpectra:
             tamper(report)
             assert not report.verify_all_certificates(X1)
 
-    @pytest.mark.parametrize("dart", [100, -1])
+    @pytest.mark.parametrize("dart", [100, -1, -2])
     def test_replay_rejects_a_dart_outside_the_graph(self, wedge23, dart):
         # an unasked class after the jump at 3: dart 100 names no edge, and
         # dart -1 would index the dart tables from the end, so the word
@@ -382,6 +391,11 @@ class TestLatticeSpectra:
     def test_singular_basis(self):
         with pytest.raises(ValueError):
             covering_spectrum_lattice([[1, 2], [2, 4]])
+
+    def test_empty_basis(self):
+        # Z^0 is a lattice, so the driver checks for an empty basis itself
+        with pytest.raises(ValueError, match="basis must be nonempty"):
+            covering_spectrum_lattice([])
 
     def test_scaling(self):
         a = covering_spectrum_lattice([[2, 0], [0, 3]])

@@ -362,6 +362,20 @@ class TestDecideMembership:
         cert = decide_membership(Presentation(0), ())
         assert cert == MembershipCertificate("member", "syntactic", {"expression": []})
 
+    @pytest.mark.parametrize("target, bad", [((3,), 3), ((-3,), -3), ((1, 3), 3)])
+    @pytest.mark.parametrize("entry", [
+        decide_membership, abelian_nonmember, syntactic_member, coset_membership,
+        Presentation.add,
+    ])
+    def test_a_letter_outside_the_rank_raises_the_same_error(self, entry, target, bad):
+        # abelian_nonmember, coset_membership and decide_membership once
+        # raised IndexError here, and syntactic_member returned None
+        pres = Presentation(2, [(1,), (2,)])
+        with pytest.raises(ValueError, match=f"^letter {bad} names no generator of F_2$"):
+            entry(pres, target)
+        # a letter that cancels names nothing
+        entry(pres, (3, -3))
+
     def test_a_target_is_reduced_before_any_tier_reads_it(self):
         # the abelian tier, asked first, reduces as the other tiers do: a
         # letter 0 would get a non-member certificate, and a cancelling
@@ -614,8 +628,11 @@ class TestPresentation:
 _OPTIMIZED_CHECKS = """
 import sys
 from fractions import Fraction
-from covspec import ColoredGraph, Edge, MarkedClass, MetricGraph, covering_spectrum
-from covspec.words import _syntactic_cert
+from covspec import (
+    ColoredGraph, CyclicWord, Edge, MarkedClass, MetricGraph, covering_spectrum,
+    decide_membership, loop_to_free_word,
+)
+from covspec.words import Presentation, _syntactic_cert
 
 assert sys.flags.optimize, "not running under -O"
 try:
@@ -640,6 +657,26 @@ _, report = covering_spectrum(X)
 report.certificates[-1] = None
 if report.verify_all_certificates(X):
     sys.exit("a level with no query replayed")
+# unchecked, the letter 3 of F_2 indexes past the exponent vector
+try:
+    decide_membership(Presentation(2), (3,))
+except ValueError:
+    pass
+else:
+    sys.exit("a letter past the rank was decided")
+# unchecked, dart -2 reads dart 2 from the end and rewrites to ()
+try:
+    loop_to_free_word(X, [-2])
+except ValueError:
+    pass
+else:
+    sys.exit("a negative dart was rewritten")
+# an unasked class after the jump at 3 whose dart -2 would measure 3
+_, report = covering_spectrum(X)
+report.classes.append(MarkedClass(Fraction(3), CyclicWord([-2])))
+report.certificates.append(None)
+if report.verify_all_certificates(X):
+    sys.exit("a class with a dart outside the graph replayed")
 """
 
 
