@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, takewhile
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .groups import CapExceededError
@@ -309,7 +309,8 @@ def covering_spectrum_lattice(basis: Sequence[Sequence[Fraction | int]]) -> Latt
     coordinates.  Lattice vectors come from one lazy stream in
     nondecreasing norm, which ``jump_set`` stops once the vectors seen
     generate the whole lattice, as the graph driver stops its class
-    stream.  All arithmetic is on squared norms in Q.
+    stream.  The stream runs in integers on the rows scaled to integers
+    (integral Gram-Schmidt), and the squared scale divides the jumps once.
     """
     n = len(basis)
     if not n:
@@ -334,52 +335,67 @@ def _lattice_vectors(M: Sequence[Sequence[int]]):
     """Every nonzero c in Z^n as (|c.M|^2, c), in nondecreasing norm; past
     ``LATTICE_VECTOR_CAP`` vectors it raises CapExceededError.
 
-    Best-first Fincke-Pohst.  With the exact Gram-Schmidt norms B and
-    coefficients mu of the rows of M, |c.M|^2 = sum_i B_i (c_i - x_i)^2,
-    where the centre x_i = -sum_{j>i} mu_ji c_j depends only on later
-    coefficients.  A heap node fixes c_i..c_{n-1} and is keyed by the
-    sum of their terms, which never falls as more coefficients are
-    fixed.  A popped node pushes its nearest child and its next sibling
-    outward from the centre (the nearest value pushes both neighbours),
-    so every node is pushed by one with no larger key, and complete
-    vectors pop in norm order.
+    Best-first Fincke-Pohst in integers.  Integral Gram-Schmidt (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.6) gives integer
+    Gram determinants d_0 = 1, d_{i+1} = d_i B_i and lam_ji = d_{i+1} mu_ji,
+    and |c.M|^2 = sum_i (d_{i+1} c_i - p_i)^2 / (d_i d_{i+1}) with
+    p_i = -sum_{j>i} lam_ji c_j fixed by later coefficients.  The content
+    g_i = gcd(d_{i+1}, lam_ji for j > i) divides p_i and d_{i+1} = g_i q_i,
+    so term i is g_i / (d_i q_i) (q_i c_i - p_i / g_i)^2, and one scale S
+    clears those coefficients: keys are S times the squared norms, integers
+    that stay small for huge entries.  A heap node fixes c_i..c_{n-1} and
+    is keyed by the sum of their terms, which never falls as more are
+    fixed.  A popped node pushes its nearest child (the centre rounded half
+    to even, as ``round`` does) and its next sibling outward from the
+    centre (the nearest value pushes both neighbours), so every node is
+    pushed by one with no larger key and complete vectors pop in norm
+    order; ties fall to the coefficient tuple, so the order is the one
+    the same search on the exact rational norms pops.
     """
     n = len(M)
-    star: list[list[Fraction]] = []
-    B: list[Fraction] = []
-    mu: dict[tuple[int, int], Fraction] = {}
-    for i, row in enumerate(M):
-        v = [Fraction(x) for x in row]
-        for j in range(i):
-            mu[i, j] = sum(a * b for a, b in zip(row, star[j])) / B[j]
-            v = [a - mu[i, j] * b for a, b in zip(v, star[j])]
-        B.append(sum(a * a for a in v))
-        if B[i] == 0:
+    d, lam = [1], []
+    for k, row in enumerate(M):
+        lam.append([])
+        for j in range(k + 1):
+            u = sum(a * b for a, b in zip(row, M[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            (lam[k] if j < k else d).append(u)
+        if d[-1] == 0:
             raise ValueError("basis is singular")
-        star.append(v)
+    g = [gcd(d[i + 1], *(lam[j][i] for j in range(i + 1, n))) for i in range(n)]
+    q = [d[i + 1] // g[i] for i in range(n)]
+    h = [gcd(g[i], d[i] * q[i]) for i in range(n)]
+    den = [d[i] * q[i] // h[i] for i in range(n)]
+    S = lcm(*den)
+    w = [S // den[i] * (g[i] // h[i]) for i in range(n)]
+    lam_g = [[lam[j][i] // g[i] for j in range(i + 1, n)] for i in range(n)]
 
-    # a node: (key, (c_i, ..., c_{n-1}), its parent's key, centre x_i, the
+    # a node: (key, (c_i, ..., c_{n-1}), its parent's key, p_i over g_i, the
     # direction c_i last stepped in, 0 for the nearest value)
-    def push(base, fixed, x, c, step):
+    def push(base, fixed, p, c, step):
         i = n - 1 - len(fixed)
-        heapq.heappush(heap, (base + B[i] * (c - x) ** 2, (c,) + fixed, base, x, step))
+        heapq.heappush(heap, (base + w[i] * (q[i] * c - p) ** 2, (c,) + fixed, base, p, step))
 
     heap: list = []
-    push(Fraction(0), (), Fraction(0), 0, 0)
+    push(0, (), 0, 0, 0)
     taken = 0
     while True:
-        norm, coeffs, base, x, step = heapq.heappop(heap)
+        key, coeffs, base, p, step = heapq.heappop(heap)
         c, fixed = coeffs[0], coeffs[1:]
         if step >= 0:
-            push(base, fixed, x, c + 1, 1)
+            push(base, fixed, p, c + 1, 1)
         if step <= 0:
-            push(base, fixed, x, c - 1, -1)
+            push(base, fixed, p, c - 1, -1)
         i = n - len(coeffs)
         if i:
-            centre = -sum(mu[j, i - 1] * cj for j, cj in enumerate(coeffs, start=i))
-            push(norm, coeffs, centre, round(centre), 0)
+            p = -sum(a * cj for a, cj in zip(lam_g[i - 1], coeffs))
+            r, m = divmod(p, q[i - 1])
+            if 2 * m > q[i - 1] or 2 * m == q[i - 1] and r % 2:
+                r += 1
+            push(key, coeffs, p, r, 0)
         elif any(coeffs):
             if taken == LATTICE_VECTOR_CAP:
                 raise CapExceededError(f"lattice vector count exceeds cap {LATTICE_VECTOR_CAP}")
             taken += 1
-            yield norm, list(coeffs)
+            yield key // S, list(coeffs)

@@ -3,6 +3,9 @@
 These deliberately avoid the library's search strategies: class
 enumeration walks ALL closed walks (backtracking allowed) and reduces
 them, lattice vectors are listed by scanning a whole coefficient box,
+``lattice_vectors_rational`` runs the torus stream's search on exact
+rational Gram-Schmidt data with ``Fraction`` keys and must yield the
+same vectors in the same order,
 the lattice jump scan recomputes an echelon form from scratch at every
 membership query, tree paths and fundamental loops come from a
 breadth-first search of the spanning tree alone, the coset graph forms the coset of every
@@ -28,12 +31,14 @@ vertex a spanning tree grows from.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import isqrt
 from time import perf_counter
+from typing import Sequence
 
 from covspec import words as words_mod
 from covspec.graphs import ColoredGraph, Edge, cayley_graph
@@ -48,7 +53,7 @@ from covspec.metric import (
     reduce_dart_path,
     render_loop,
 )
-from covspec.spectrum import UndecidedOracleError, _NormalClosureOracle
+from covspec.spectrum import LATTICE_VECTOR_CAP, UndecidedOracleError, _NormalClosureOracle
 from covspec.words import (
     CONJUGATOR_LENGTH,
     MEMBER,
@@ -210,6 +215,61 @@ def lattice_vectors_by_box(basis: list[list[int]], norm_bound_sq: int) -> list:
         if q <= norm_bound_sq:
             found.append((q, cs))
     return sorted(found)
+
+
+def lattice_vectors_rational(M: Sequence[Sequence[int]]):
+    """Every nonzero c in Z^n as (|c.M|^2, c), in nondecreasing norm; past
+    ``LATTICE_VECTOR_CAP`` vectors it raises CapExceededError.
+
+    Best-first Fincke-Pohst.  With the exact Gram-Schmidt norms B and
+    coefficients mu of the rows of M, |c.M|^2 = sum_i B_i (c_i - x_i)^2,
+    where the centre x_i = -sum_{j>i} mu_ji c_j depends only on later
+    coefficients.  A heap node fixes c_i..c_{n-1} and is keyed by the
+    sum of their terms, which never falls as more coefficients are
+    fixed.  A popped node pushes its nearest child and its next sibling
+    outward from the centre (the nearest value pushes both neighbours),
+    so every node is pushed by one with no larger key, and complete
+    vectors pop in norm order.
+    """
+    n = len(M)
+    star: list[list[Fraction]] = []
+    B: list[Fraction] = []
+    mu: dict[tuple[int, int], Fraction] = {}
+    for i, row in enumerate(M):
+        v = [Fraction(x) for x in row]
+        for j in range(i):
+            mu[i, j] = sum(a * b for a, b in zip(row, star[j])) / B[j]
+            v = [a - mu[i, j] * b for a, b in zip(v, star[j])]
+        B.append(sum(a * a for a in v))
+        if B[i] == 0:
+            raise ValueError("basis is singular")
+        star.append(v)
+
+    # a node: (key, (c_i, ..., c_{n-1}), its parent's key, centre x_i, the
+    # direction c_i last stepped in, 0 for the nearest value)
+    def push(base, fixed, x, c, step):
+        i = n - 1 - len(fixed)
+        heapq.heappush(heap, (base + B[i] * (c - x) ** 2, (c,) + fixed, base, x, step))
+
+    heap: list = []
+    push(Fraction(0), (), Fraction(0), 0, 0)
+    taken = 0
+    while True:
+        norm, coeffs, base, x, step = heapq.heappop(heap)
+        c, fixed = coeffs[0], coeffs[1:]
+        if step >= 0:
+            push(base, fixed, x, c + 1, 1)
+        if step <= 0:
+            push(base, fixed, x, c - 1, -1)
+        i = n - len(coeffs)
+        if i:
+            centre = -sum(mu[j, i - 1] * cj for j, cj in enumerate(coeffs, start=i))
+            push(norm, coeffs, centre, round(centre), 0)
+        elif any(coeffs):
+            if taken == LATTICE_VECTOR_CAP:
+                raise CapExceededError(f"lattice vector count exceeds cap {LATTICE_VECTOR_CAP}")
+            taken += 1
+            yield norm, list(coeffs)
 
 
 def lattice_jump_scan(basis: list[list[int]], norm_bound_sq: int) -> list[int]:

@@ -268,11 +268,13 @@ class TestTorusCommand:
         code, _, _ = run_cli(capsys, "torus", "--basis", "a b; c d")
         assert code == 3
 
-    def test_thin_torus_stops_at_the_vector_cap(self, capsys):
-        # about 2 * 10^5 short vectors lie in the span of (0, 1) before
-        # (100000, 0) is reached
+    # about 2 * 10^5 short vectors lie in the span of (0, 1) before
+    # (100000, 0) is reached, and more before the long vector of a basis
+    # with a huge or tiny entry, whose integer keys must stay small
+    @pytest.mark.parametrize("basis", ["100000 0; 0 1", "1e3000 0; 0 1", "1 0; 0 1e-30"])
+    def test_thin_torus_stops_at_the_vector_cap(self, capsys, basis):
         start = perf_counter()
-        code, out, err = run_cli(capsys, "torus", "--basis", "100000 0; 0 1")
+        code, out, err = run_cli(capsys, "torus", "--basis", basis)
         assert perf_counter() - start < 10
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

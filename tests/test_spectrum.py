@@ -3,7 +3,7 @@ from __future__ import annotations
 import copy
 import random
 from fractions import Fraction
-from itertools import takewhile
+from itertools import islice, takewhile
 from time import perf_counter
 
 import pytest
@@ -48,6 +48,7 @@ from oracles import (
     generator_class_lengths,
     lattice_jump_scan,
     lattice_vectors_by_box,
+    lattice_vectors_rational,
     replay_stateless,
 )
 
@@ -432,6 +433,37 @@ class TestLatticeStream:
         assert all(any(c) for _, c in prefix)
         assert len(set(prefix)) == len(prefix)
         assert sorted(prefix) == lattice_vectors_by_box(M, bound)
+
+    @staticmethod
+    def assert_same_stream(M, count=300):
+        ints = list(islice(_lattice_vectors(M), count))
+        assert ints == list(islice(lattice_vectors_rational(M), count))
+        assert all(type(q) is int for q, _ in ints)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                     min_size=n, max_size=n),
+            st.integers(-40, 40))))
+    def test_same_order_as_the_rational_stream(self, drawn):
+        # the skew (row 1 += k * row 0) moves the centres far from 0, which
+        # the box and scan oracles cannot afford
+        M, k = drawn
+        if len(M) > 1:
+            M[1] = [a + k * b for a, b in zip(M[1], M[0])]
+        assume(det(M) != 0)
+        self.assert_same_stream(M)
+
+    @pytest.mark.parametrize("M", [
+        [[2, 0], [1, 2]],  # centres at k + 1/2 order equal-key siblings
+        [[2, 0, 0], [1, 2, 0], [1, 1, 2]],
+        [[4999, 0], [0, 1]],
+        [[3, 1], [10001, 3334]],
+        [[10**30, 0], [0, 1]],
+    ], ids=str)
+    def test_same_order_on_pinned_bases(self, M):
+        self.assert_same_stream(M)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 3).flatmap(
